@@ -14,7 +14,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .errors import ConfigError, GridAlignmentError
-from .invariants import DistanceEstimateSeries
+from .invariants import DistanceEstimateSeries, SlopeEstimate
 from .kinematics import KinematicTrack
 from .observables import InertialStream, OpticalStream, require_same_grid
 
@@ -23,6 +23,8 @@ DEFAULT_TOLERANCE = 0.05  # relative; reported in every output
 TIMELINE_COLUMNS = ("t", "px", "py", "pz", "v", "alpha", "q",
                     "d_true", "d_1d", "d_3d", "d_tan",
                     "valid_1d", "valid_3d", "valid_tan")
+
+SLOPE_COLUMNS = ("t", "slope_rad", "dob_x", "dob_y", "dob_z", "degenerate")
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,18 @@ def timeline_table(est: DistanceEstimateSeries, optics: OpticalStream,
     }
 
 
+def slope_table(slope: SlopeEstimate) -> Dict[str, np.ndarray]:
+    """Per-sample slope angle, direction of balance and degenerate flag."""
+    return {
+        "t": slope.grid.times(),
+        "slope_rad": slope.slope_angle,
+        "dob_x": slope.direction_of_balance[:, 0],
+        "dob_y": slope.direction_of_balance[:, 1],
+        "dob_z": slope.direction_of_balance[:, 2],
+        "degenerate": slope.degenerate,
+    }
+
+
 def accuracy_from_timeline(table: Dict[str, np.ndarray], tolerance: float,
                            scenario_id: str = "") -> AccuracyReport:
     """Recompute the accuracy report from an exported timeline table."""
@@ -157,6 +171,15 @@ class ExplorationSummary:
     max_speed: float
     mean_accel: float
     max_accel: float
+
+    def to_json_dict(self) -> dict:
+        return {
+            "amplitude_m": list(self.amplitude),
+            "mean_speed_mps": self.mean_speed,
+            "max_speed_mps": self.max_speed,
+            "mean_accel_mps2": self.mean_accel,
+            "max_accel_mps2": self.max_accel,
+        }
 
 
 def exploration_summary(track: KinematicTrack) -> ExplorationSummary:

@@ -15,14 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .analysis import TIMELINE_COLUMNS, accuracy, exploration_summary, timeline_table
+from .analysis import (DEFAULT_TOLERANCE, SLOPE_COLUMNS, TIMELINE_COLUMNS,
+                       accuracy, exploration_summary, slope_table, timeline_table)
 from .demo import run_demo
 from .detector import detect, report_to_json_dict
 from .errors import ConfigError, CrossArrayError
 from .fileio import RunConfig, load_run_config
 from .generators import generate, make_playback
 from .invariants import project_and_estimate, slope_invariant
-from .kinematics import KinematicTrack, ScenePoint, TimeGrid
+from .kinematics import ScenePoint, constant_acceleration_track
 from .observables import (constant_support, project_inertial, project_optics,
                           replay_optics, tilted_support)
 
@@ -94,21 +95,13 @@ def cmd_analyze(args) -> int:
     run = load_run_config(args.config) if args.config else None
     track, scene_object = _load_track_and_object(args, run)
     tolerance = (args.tolerance if args.tolerance is not None
-                 else (run.tolerance if run else 0.05))
+                 else (run.tolerance if run else DEFAULT_TOLERANCE))
     optics, inertial, est = project_and_estimate(track, scene_object)
     out_dir = _out_dir(args, run)
-    fileio.write_csv(out_dir / "timeline.csv", list(TIMELINE_COLUMNS),
+    fileio.write_csv(out_dir / "timeline.csv", TIMELINE_COLUMNS,
                      timeline_table(est, optics, inertial, track))
-    report = accuracy(est, tolerance, scenario_id=args.scenario_id)
-    payload = report.to_json_dict()
-    summary = exploration_summary(track)
-    payload["exploration"] = {
-        "amplitude_m": list(summary.amplitude),
-        "mean_speed_mps": summary.mean_speed,
-        "max_speed_mps": summary.max_speed,
-        "mean_accel_mps2": summary.mean_accel,
-        "max_accel_mps2": summary.max_accel,
-    }
+    payload = accuracy(est, tolerance, scenario_id=args.scenario_id).to_json_dict()
+    payload["exploration"] = exploration_summary(track).to_json_dict()
     fileio.write_json(out_dir / "accuracy.json", payload)
     print(out_dir / "timeline.csv")
     print(out_dir / "accuracy.json")
@@ -152,17 +145,8 @@ def cmd_slope(args) -> int:
     if run.scenario is not None:
         track = generate(run.scenario)
     else:
-        values = fileio.load_config(args.config)
-        rate = float(values.get("sample_rate_hz", 100.0))
-        duration = float(values.get("duration_s", 2.0))
-        grid = TimeGrid(sample_rate=rate,
-                        n_samples=int(round(duration * rate)) + 1)
         accel = run.accel if run.accel is not None else np.zeros(3)
-        t = grid.times()
-        track = KinematicTrack(
-            grid=grid, position=0.5 * np.outer(t * t, accel),
-            velocity=np.outer(t, accel),
-            acceleration=np.tile(accel, (grid.n_samples, 1)))
+        track = constant_acceleration_track(run.grid, accel)
     inertial = project_inertial(track, gravity=run.gravity)
     if run.support_tilt_rad != 0.0:
         support = tilted_support(track.grid, run.support_tilt_rad)
@@ -170,12 +154,7 @@ def cmd_slope(args) -> int:
         support = constant_support(track.grid, run.support_normal)
     slope = slope_invariant(inertial, support)
     out = Path(args.out) if args.out else _out_dir(args, run) / "slope.csv"
-    fileio.write_csv(out, ["t", "slope_rad", "dob_x", "dob_y", "dob_z", "degenerate"],
-                     {"t": track.grid.times(), "slope_rad": slope.slope_angle,
-                      "dob_x": slope.direction_of_balance[:, 0],
-                      "dob_y": slope.direction_of_balance[:, 1],
-                      "dob_z": slope.direction_of_balance[:, 2],
-                      "degenerate": slope.degenerate})
+    fileio.write_csv(out, SLOPE_COLUMNS, slope_table(slope))
     print(out)
     return 0
 
@@ -212,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--track", help="analyze an existing track CSV")
     p_an.add_argument("--object", help="object position x,y,z (with --track)")
     p_an.add_argument("--tolerance", type=float,
-                      help="relative accuracy tolerance (default 0.05)")
+                      help=f"relative accuracy tolerance (default {DEFAULT_TOLERANCE})")
     p_an.add_argument("--scenario-id", default="")
     p_an.add_argument("--out-dir")
     p_an.set_defaults(func=cmd_analyze)

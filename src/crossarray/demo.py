@@ -5,8 +5,12 @@ verifies the properties the library exists to demonstrate: exactness of
 the 3D cross-sense distance, failure of the 1D model on 3D sway, regime
 collapse between the models, scale-blindness of optics, the slope
 invariant, replay detection, differencing convergence, and bit-level
-determinism. The CLI ``demo`` subcommand prints the resulting table and
-writes every artifact under one output directory.
+determinism. ``ALL_CHECKS`` is the one definition of these checks; the
+acceptance tests assert on their results. Each shared scenario goes
+through the pipeline once (``demo_runs``), and the checks and the
+artifact writers all read that run. The CLI ``demo`` subcommand prints
+the resulting table and writes every artifact under one output
+directory.
 """
 
 from __future__ import annotations
@@ -19,18 +23,23 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import fileio
-from .analysis import (accuracy, exploration_summary, reach_judgment,
-                       timeline_table, TIMELINE_COLUMNS)
-from .detector import detect, report_to_json_dict
+from .analysis import (DEFAULT_TOLERANCE, SLOPE_COLUMNS, TIMELINE_COLUMNS,
+                       AccuracyReport, accuracy, exploration_summary,
+                       reach_judgment, slope_table, timeline_table)
+from .detector import DetectionReport, detect, report_to_json_dict
 from .generators import ScenarioConfig, generate, make_playback
-from .invariants import project_and_estimate, slope_invariant
-from .kinematics import TimeGrid, as_differentiated, differentiate
-from .observables import (constant_support, project_inertial, project_optics,
-                          replay_optics, tilted_support)
+from .invariants import (DistanceEstimateSeries, SlopeEstimate,
+                         project_and_estimate, slope_invariant)
+from .kinematics import (KinematicTrack, TimeGrid, as_differentiated,
+                         constant_acceleration_track, differentiate)
+from .observables import (InertialStream, OpticalStream, SupportStream,
+                          constant_support, project_inertial, replay_optics,
+                          tilted_support)
 
 ANALYTIC_REL_TOL = 1e-6
-ACCURACY_TOLERANCE = 0.05
 SUITE_SIZE = 10
+SLOPE_GRID = TimeGrid(sample_rate=100.0, n_samples=101)
+SLOPE_ACCEL = np.array([2.0, 0.0, 0.0])  # the accelerating case; also slope.csv
 
 
 @dataclass(frozen=True)
@@ -81,23 +90,50 @@ def sway3d_suite(count: int = SUITE_SIZE, base_seed: int = 1000) -> List[Scenari
     return configs
 
 
-def _write_scenario_artifacts(out_dir: Path, name: str, cfg: ScenarioConfig) -> None:
-    scen_dir = out_dir / name
+@dataclass(frozen=True)
+class ScenarioRun:
+    """One scenario taken once through generation, estimation and detection."""
+
+    name: str
+    cfg: ScenarioConfig
+    track: KinematicTrack
+    optics: OpticalStream
+    inertial: InertialStream
+    est: DistanceEstimateSeries
+    report: AccuracyReport
+    live: DetectionReport      # the matched optical and inertial streams
+    playback: DetectionReport  # the same optics replayed to a still body
+
+
+def run_scenario(name: str, cfg: ScenarioConfig) -> ScenarioRun:
     track = generate(cfg)
     optics, inertial, est = project_and_estimate(track, cfg.scene_object)
-    fileio.write_track_csv(scen_dir / "track.csv", track)
-    fileio.write_csv(scen_dir / "timeline.csv", list(TIMELINE_COLUMNS),
-                     timeline_table(est, optics, inertial, track))
-    report = accuracy(est, ACCURACY_TOLERANCE, scenario_id=name)
-    payload = report.to_json_dict()
-    summary = exploration_summary(track)
-    payload["exploration"] = {
-        "amplitude_m": list(summary.amplitude),
-        "mean_speed_mps": summary.mean_speed,
-        "max_speed_mps": summary.max_speed,
-        "mean_accel_mps2": summary.mean_accel,
-        "max_accel_mps2": summary.max_accel,
-    }
+    pair = make_playback(track, track.position[0])
+    optics_pb, inertial_pb = replay_optics(pair, cfg.scene_object)
+    return ScenarioRun(name, cfg, track, optics, inertial, est,
+                       accuracy(est, DEFAULT_TOLERANCE, scenario_id=name),
+                       detect(optics, inertial), detect(optics_pb, inertial_pb))
+
+
+@dataclass(frozen=True)
+class DemoRuns:
+    """The canonical scenarios and the sway suite, each run once."""
+
+    canonical: Dict[str, ScenarioRun]
+    suite: List[ScenarioRun]
+    started: float  # perf_counter() before the first run
+
+
+def demo_runs() -> DemoRuns:
+    started = time.perf_counter()
+    canonical = {name: run_scenario(name, cfg)
+                 for name, cfg in demo_scenarios().items()}
+    suite = [run_scenario(f"sway3d_{i:02d}", cfg)
+             for i, cfg in enumerate(sway3d_suite())]
+    return DemoRuns(canonical, suite, started)
+
+
+def _reach_payload(est: DistanceEstimateSeries) -> dict:
     reach = reach_judgment(est, threshold=0.6)
     agreement = {}
     for est_name, verdict in reach.verdicts.items():
@@ -105,98 +141,95 @@ def _write_scenario_artifacts(out_dir: Path, name: str, cfg: ScenarioConfig) -> 
         agreement[est_name] = (
             None if not mask.any() else
             float(np.mean(verdict[mask] == reach.truth_verdict[mask])))
-    payload["reach"] = {"threshold_m": reach.reach_threshold,
-                        "truth_within_reach_fraction":
-                            float(np.mean(reach.truth_verdict)),
-                        "agreement_with_truth": agreement}
+    return {"threshold_m": reach.reach_threshold,
+            "truth_within_reach_fraction": float(np.mean(reach.truth_verdict)),
+            "agreement_with_truth": agreement}
+
+
+def _write_scenario_artifacts(out_dir: Path, run: ScenarioRun) -> None:
+    scen_dir = out_dir / run.name
+    fileio.write_track_csv(scen_dir / "track.csv", run.track)
+    fileio.write_csv(scen_dir / "timeline.csv", TIMELINE_COLUMNS,
+                     timeline_table(run.est, run.optics, run.inertial, run.track))
+    payload = run.report.to_json_dict()
+    payload["exploration"] = exploration_summary(run.track).to_json_dict()
+    payload["reach"] = _reach_payload(run.est)
     fileio.write_json(scen_dir / "accuracy.json", payload)
-    fileio.write_json(scen_dir / "detect_live.json",
-                      report_to_json_dict(detect(optics, inertial)))
-    pair = make_playback(track, track.position[0])
-    optics_pb, inertial_pb = replay_optics(pair, cfg.scene_object)
+    fileio.write_json(scen_dir / "detect_live.json", report_to_json_dict(run.live))
     fileio.write_json(scen_dir / "detect_playback.json",
-                      report_to_json_dict(detect(optics_pb, inertial_pb)))
+                      report_to_json_dict(run.playback))
 
 
-def check_exactness_3d() -> CheckResult:
-    started = time.perf_counter()
+def _rel_split(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
+    return float(np.max(np.abs(a[mask] - b[mask]) / b[mask]))
+
+
+def check_exactness_3d(runs: DemoRuns) -> CheckResult:
+    """Runtime counts from the start of ``demo_runs``."""
     worst_analytic = 0.0
     worst_fd_fraction = 1.0
-    for name, cfg in demo_scenarios().items():
-        track = generate(cfg)
-        _, _, est = project_and_estimate(track, cfg.scene_object)
-        rel = (np.abs(est.d_3d[est.valid_3d] - est.d_true[est.valid_3d])
-               / est.d_true[est.valid_3d])
-        worst_analytic = max(worst_analytic, float(rel.max()))
-        fd_track = as_differentiated(track)
-        _, _, fd_est = project_and_estimate(fd_track, cfg.scene_object)
-        fd_acc = accuracy(fd_est, ACCURACY_TOLERANCE).estimators["d_3d"]
-        worst_fd_fraction = min(worst_fd_fraction, fd_acc.accurate_fraction)
-    elapsed = time.perf_counter() - started
-    passed = (worst_analytic < ANALYTIC_REL_TOL and worst_fd_fraction == 1.0
-              and elapsed < 5.0)
+    all_valid = True
+    for run in runs.canonical.values():
+        est = run.est
+        valid = est.valid_3d
+        all_valid &= bool(valid.any())
+        rel = np.abs(est.d_3d[valid] - est.d_true[valid]) / est.d_true[valid]
+        worst_analytic = max(worst_analytic, float(np.max(rel, initial=0.0)))
+        _, _, fd_est = project_and_estimate(as_differentiated(run.track),
+                                            run.cfg.scene_object)
+        fd_acc = accuracy(fd_est, DEFAULT_TOLERANCE).estimators["d_3d"]
+        worst_fd_fraction = min(worst_fd_fraction,
+                                fd_acc.accurate_fraction if fd_acc else 0.0)
+    elapsed = time.perf_counter() - runs.started
+    passed = (all_valid and worst_analytic < ANALYTIC_REL_TOL
+              and worst_fd_fraction == 1.0 and elapsed < 5.0)
     return CheckResult(
         "3d-distance-exactness", passed,
         f"analytic max rel err {worst_analytic:.2e}, finite-difference "
         f"accurate fraction {worst_fd_fraction:.3f}", timing_s=elapsed)
 
 
-def check_1d_contrast() -> CheckResult:
+def check_1d_contrast(runs: DemoRuns) -> CheckResult:
     worst_1d = 0.0
     worst_3d = 1.0
-    for cfg in sway3d_suite():
-        track = generate(cfg)
-        _, _, est = project_and_estimate(track, cfg.scene_object)
-        report = accuracy(est, ACCURACY_TOLERANCE)
-        worst_1d = max(worst_1d, report.estimators["d_1d"].accurate_fraction)
-        worst_3d = min(worst_3d, report.estimators["d_3d"].accurate_fraction)
-    passed = worst_1d < 0.20 and worst_3d == 1.0
+    for run in runs.suite:
+        worst_1d = max(worst_1d, run.report.estimators["d_1d"].accurate_fraction)
+        worst_3d = min(worst_3d, run.report.estimators["d_3d"].accurate_fraction)
+    passed = len(runs.suite) >= 10 and worst_1d < 0.20 and worst_3d == 1.0
     return CheckResult(
         "1d-model-contrast", passed,
         f"1d accurate fraction <= {worst_1d:.3f} while 3d stays {worst_3d:.3f}")
 
 
-def check_regime_collapse() -> CheckResult:
-    worst = 0.0
+def check_regime_collapse(runs: DemoRuns) -> CheckResult:
     cfg = ScenarioConfig(kind="rectilinear", duration=2.0, sample_rate=100.0,
                          object_position=(6.0, 8.0, 0.0))
     _, _, est = project_and_estimate(generate(cfg), cfg.scene_object)
     both = est.valid_1d & est.valid_2d & est.valid_3d
-    for series in (est.d_1d, est.d_2d):
-        worst = max(worst, float(np.max(
-            np.abs(series[both] - est.d_3d[both]) / est.d_3d[both])))
-    planar = demo_scenarios()["planar_sway"]
-    _, _, est_p = project_and_estimate(generate(planar), planar.scene_object)
-    shared = est_p.valid_2d & est_p.valid_3d
-    worst = max(worst, float(np.max(
-        np.abs(est_p.d_2d[shared] - est_p.d_3d[shared]) / est_p.d_3d[shared])))
-    orbit = demo_scenarios()["tangential_orbit"]
-    _, _, est_o = project_and_estimate(generate(orbit), orbit.scene_object)
-    shared_o = est_o.valid_tan & est_o.valid_3d
-    worst = max(worst, float(np.max(
-        np.abs(est_o.d_tan[shared_o] - est_o.d_3d[shared_o]) / est_o.d_3d[shared_o])))
-    return CheckResult("regime-collapse", worst <= ANALYTIC_REL_TOL,
+    est_p = runs.canonical["planar_sway"].est
+    est_o = runs.canonical["tangential_orbit"].est
+    worst = max(_rel_split(est.d_1d, est.d_3d, both),
+                _rel_split(est.d_2d, est.d_3d, both),
+                _rel_split(est_p.d_2d, est_p.d_3d, est_p.valid_2d & est_p.valid_3d),
+                _rel_split(est_o.d_tan, est_o.d_3d, est_o.valid_tan & est_o.valid_3d))
+    return CheckResult("regime-collapse", worst < ANALYTIC_REL_TOL,
                        f"max relative split between collapsing models {worst:.2e}")
 
 
-def check_scale_ambiguity() -> CheckResult:
-    base = demo_scenarios()["sway3d"]
-    track0 = generate(base)
-    optics0 = project_optics(track0, base.scene_object)
-    _, _, est0 = project_and_estimate(track0, base.scene_object)
+def check_scale_ambiguity(runs: DemoRuns) -> CheckResult:
+    base = runs.canonical["sway3d"]
     worst_optics = 0.0
     worst_scaling = 0.0
     for k in (0.5, 2.0, 10.0):
-        scaled = base.scaled(k)
-        track_k = generate(scaled)
-        optics_k = project_optics(track_k, scaled.scene_object)
-        _, _, est_k = project_and_estimate(track_k, scaled.scene_object)
-        for a, b in ((optics_k.bearing, optics0.bearing),
-                     (optics_k.alpha, optics0.alpha),
-                     (optics_k.alpha_dot, optics0.alpha_dot),
-                     (optics_k.q_norm, optics0.q_norm)):
+        scaled = base.cfg.scaled(k)
+        optics_k, _, est_k = project_and_estimate(generate(scaled),
+                                                  scaled.scene_object)
+        for field in ("bearing", "alpha", "alpha_dot", "theta_dot", "q_norm"):
+            a, b = getattr(optics_k, field), getattr(base.optics, field)
+            if np.all(np.isnan(a)) and np.all(np.isnan(b)):
+                continue  # theta_dot on non-planar motion: invalid either way
             worst_optics = max(worst_optics, float(np.nanmax(np.abs(a - b))))
-        for a, b in ((est_k.d_true, est0.d_true), (est_k.d_3d, est0.d_3d)):
+        for a, b in ((est_k.d_true, base.est.d_true), (est_k.d_3d, base.est.d_3d)):
             with np.errstate(invalid="ignore"):
                 rel = np.abs(a - k * b) / np.abs(k * b)
             worst_scaling = max(worst_scaling, float(np.nanmax(rel)))
@@ -207,69 +240,48 @@ def check_scale_ambiguity() -> CheckResult:
         f"distances rescale to {worst_scaling:.2e} relative")
 
 
-def check_slope() -> CheckResult:
-    grid = TimeGrid(sample_rate=100.0, n_samples=101)
-    n = grid.n_samples
-    level = constant_support(grid)
-    still = project_inertial(_constant_accel_track(grid, np.zeros(3)))
-    flat = slope_invariant(still, level)
-    err_level = float(np.max(np.abs(flat.slope_angle)))
+def _slope(accel: np.ndarray, support: SupportStream) -> SlopeEstimate:
+    track = constant_acceleration_track(SLOPE_GRID, accel)
+    return slope_invariant(project_inertial(track), support)
 
-    tilt = 0.17453  # ~10 degrees
-    ramp = tilted_support(grid, tilt)
-    sloped = slope_invariant(still, ramp)
-    err_tilt = float(np.max(np.abs(sloped.slope_angle - tilt)))
 
-    accel = np.array([2.0, 0.0, 0.0])
-    moving = project_inertial(_constant_accel_track(grid, accel))
-    tilted = slope_invariant(moving, level)
-    oracle = np.arctan2(2.0, 9.81)
-    err_accel = float(np.max(np.abs(tilted.slope_angle - oracle)))
+def check_slope(runs: DemoRuns) -> CheckResult:
+    level = constant_support(SLOPE_GRID)
+    err_level = float(np.max(np.abs(_slope(np.zeros(3), level).slope_angle)))
 
-    passed = err_level <= 1e-9 and err_tilt <= 1e-9 and err_accel <= 1e-6
+    tilt = 0.17453  # 10 degrees to the printed precision
+    ramp = _slope(np.zeros(3), tilted_support(SLOPE_GRID, tilt)).slope_angle
+    err_tilt = float(np.max(np.abs(ramp - tilt)))
+    err_ten_deg = abs(float(ramp[0]) - np.deg2rad(10.0))
+
+    tilted = _slope(SLOPE_ACCEL, level).slope_angle
+    err_accel = float(np.max(np.abs(tilted - np.arctan2(2.0, 9.81))))
+    err_display = abs(float(tilted[0]) - 0.2013)
+
+    passed = (err_level == 0.0 and err_tilt <= 1e-9 and err_ten_deg < 1e-5
+              and err_accel <= 1e-6 and err_display < 1e-3)
     return CheckResult(
         "slope-invariant", passed,
-        f"level {err_level:.1e}, tilted {err_tilt:.1e}, "
-        f"accelerating vs arctangent {err_accel:.1e}")
+        f"level {err_level:.1e}, tilted {err_tilt:.1e} (10 degrees within "
+        f"{err_ten_deg:.1e}), accelerating vs arctangent {err_accel:.1e} "
+        f"(0.2013 within {err_display:.1e})")
 
 
-def _constant_accel_track(grid: TimeGrid, accel: np.ndarray):
-    from .kinematics import KinematicTrack
-    t = grid.times()
-    position = 0.5 * np.outer(t * t, accel)
-    velocity = np.outer(t, accel)
-    acceleration = np.tile(accel, (grid.n_samples, 1))
-    return KinematicTrack(grid=grid, position=position, velocity=velocity,
-                          acceleration=acceleration)
-
-
-def check_detection() -> CheckResult:
-    verdicts = {"live": [], "playback": [], "mismatch": []}
-    scenarios = demo_scenarios()
-    for name, cfg in scenarios.items():
-        track = generate(cfg)
-        optics = project_optics(track, cfg.scene_object)
-        inertial = project_inertial(track)
-        verdicts["live"].append(detect(optics, inertial).verdict)
-        pair = make_playback(track, track.position[0])
-        optics_pb, inertial_pb = replay_optics(pair, cfg.scene_object)
-        verdicts["playback"].append(detect(optics_pb, inertial_pb).verdict)
-    track_a = generate(scenarios["sway3d"])
-    track_b = generate(scenarios["planar_sway"])
-    optics_a = project_optics(track_a, scenarios["sway3d"].scene_object)
-    inertial_b = project_inertial(track_b)
-    verdicts["mismatch"].append(detect(optics_a, inertial_b).verdict)
-    passed = (all(v == "live" for v in verdicts["live"])
-              and all(v == "simulated" for v in verdicts["playback"])
-              and all(v == "simulated" for v in verdicts["mismatch"])
-              and "indeterminate" not in sum(verdicts.values(), []))
+def check_detection(runs: DemoRuns) -> CheckResult:
+    every = list(runs.canonical.values()) + runs.suite
+    live = sum(run.live.verdict == "live" for run in every)
+    simulated = sum(run.playback.verdict == "simulated" for run in every)
+    mismatch = detect(runs.canonical["sway3d"].optics,
+                      runs.canonical["planar_sway"].inertial).verdict
+    passed = live == simulated == len(every) and mismatch == "simulated"
     return CheckResult(
         "replay-detection", passed,
-        f"live {verdicts['live']}, playback {verdicts['playback']}, "
-        f"mismatched {verdicts['mismatch']}")
+        f"{len(every)} scenarios: live {live}/{len(every)} matched, "
+        f"simulated {simulated}/{len(every)} played back; "
+        f"sway3d optics on planar_sway inertial {mismatch}")
 
 
-def check_convergence() -> CheckResult:
+def check_convergence(runs: DemoRuns) -> CheckResult:
     errors = {}
     for rate in (50.0, 100.0, 200.0):
         grid = TimeGrid(sample_rate=rate, n_samples=int(round(2.0 * rate)) + 1)
@@ -285,16 +297,15 @@ def check_convergence() -> CheckResult:
         f"halving the step shrinks error x{ratio_a:.2f} then x{ratio_b:.2f}")
 
 
-def check_determinism() -> CheckResult:
-    cfg = demo_scenarios()["sway3d"]
-    texts = []
-    for _ in range(2):
-        track = generate(cfg)
-        optics, inertial, est = project_and_estimate(track, cfg.scene_object)
-        table = timeline_table(est, optics, inertial, track)
-        texts.append(fileio.csv_text(list(TIMELINE_COLUMNS), table)
-                     + fileio.json_text(accuracy(est, ACCURACY_TOLERANCE).to_json_dict()))
-    passed = texts[0] == texts[1]
+def _serialized(run: ScenarioRun) -> str:
+    table = timeline_table(run.est, run.optics, run.inertial, run.track)
+    return (fileio.csv_text(TIMELINE_COLUMNS, table)
+            + fileio.json_text(run.report.to_json_dict()))
+
+
+def check_determinism(runs: DemoRuns) -> CheckResult:
+    first = runs.canonical["sway3d"]
+    passed = _serialized(first) == _serialized(run_scenario(first.name, first.cfg))
     return CheckResult("determinism", passed,
                        "repeated runs serialize byte-identically" if passed
                        else "serialized outputs differ between identical runs")
@@ -314,29 +325,16 @@ ALL_CHECKS = (
 
 def run_demo(out_dir: Optional[Path] = None) -> List[CheckResult]:
     """Run every check; when ``out_dir`` is given, write all artifacts."""
-    results = [check() for check in ALL_CHECKS]
+    runs = demo_runs()
+    results = [check(runs) for check in ALL_CHECKS]
     if out_dir is not None:
         out_dir = Path(out_dir)
-        for name, cfg in demo_scenarios().items():
-            _write_scenario_artifacts(out_dir, name, cfg)
-        suite_reports = []
-        for i, cfg in enumerate(sway3d_suite()):
-            track = generate(cfg)
-            _, _, est = project_and_estimate(track, cfg.scene_object)
-            report = accuracy(est, ACCURACY_TOLERANCE, scenario_id=f"sway3d_{i:02d}")
-            suite_reports.append(report.to_json_dict())
+        for run in runs.canonical.values():
+            _write_scenario_artifacts(out_dir, run)
         fileio.write_json(out_dir / "sway_suite_accuracy.json",
-                          {"reports": suite_reports})
-        grid = TimeGrid(sample_rate=100.0, n_samples=101)
-        inertial = project_inertial(_constant_accel_track(grid, np.array([2.0, 0.0, 0.0])))
-        slope = slope_invariant(inertial, constant_support(grid))
-        fileio.write_csv(out_dir / "slope.csv",
-                         ["t", "slope_rad", "dob_x", "dob_y", "dob_z", "degenerate"],
-                         {"t": grid.times(), "slope_rad": slope.slope_angle,
-                          "dob_x": slope.direction_of_balance[:, 0],
-                          "dob_y": slope.direction_of_balance[:, 1],
-                          "dob_z": slope.direction_of_balance[:, 2],
-                          "degenerate": slope.degenerate})
+                          {"reports": [run.report.to_json_dict() for run in runs.suite]})
+        fileio.write_csv(out_dir / "slope.csv", SLOPE_COLUMNS,
+                         slope_table(_slope(SLOPE_ACCEL, constant_support(SLOPE_GRID))))
         fileio.write_json(out_dir / "summary.json", {
             "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                        for r in results]})

@@ -22,6 +22,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from .analysis import DEFAULT_TOLERANCE
 from .detector import DetectorConfig
 from .errors import ConfigError, InputShapeError
 from .generators import KINDS, ScenarioConfig
@@ -34,11 +35,19 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _umask() -> int:
+    mask = os.umask(0)  # the only way to read it is to set it
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
+        # mkstemp creates 0600; give the file the mode open() would have
+        os.chmod(tmp, 0o666 & ~_umask())
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -107,6 +116,8 @@ def _infer_grid(t: np.ndarray, path) -> TimeGrid:
     n = len(t)
     if n < 2:
         raise ConfigError(f"{path}: a track needs at least 2 samples")
+    if not np.all(np.isfinite(t)):
+        raise ConfigError(f"{path}: time column must be finite")
     span = t[-1] - t[0]
     if span <= 0:
         raise ConfigError(f"{path}: time column must be strictly increasing")
@@ -239,11 +250,12 @@ class RunConfig:
     """Everything one reproducible run needs.
 
     ``scenario`` is None for configs that drive no trajectory (e.g. a
-    pure slope computation from a constant acceleration).
+    pure slope computation from a constant acceleration); such a run is
+    sampled on ``grid``.
     """
 
     scenario: Optional[ScenarioConfig]
-    tolerance: float = 0.05
+    tolerance: float = DEFAULT_TOLERANCE
     reach_threshold: float = 0.6
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
@@ -251,6 +263,13 @@ class RunConfig:
     support_tilt_rad: float = 0.0
     accel: Optional[np.ndarray] = None
     out_dir: Optional[str] = None
+    sample_rate: float = 100.0  # ``grid`` of a run without a scenario
+    duration: float = 2.0
+
+    @property
+    def grid(self) -> TimeGrid:
+        return TimeGrid(sample_rate=self.sample_rate,
+                        n_samples=int(round(self.duration * self.sample_rate)) + 1)
 
 
 def _scenario_from_values(values: Dict[str, object],
@@ -315,6 +334,10 @@ def run_config_from_values(values: Dict[str, object],
         kwargs["accel"] = values["accel_mps2"]
     if "out_dir" in values:
         kwargs["out_dir"] = str(values["out_dir"])
+    if "sample_rate_hz" in values:
+        kwargs["sample_rate"] = float(values["sample_rate_hz"])
+    if "duration_s" in values:
+        kwargs["duration"] = float(values["duration_s"])
     return RunConfig(**kwargs)
 
 

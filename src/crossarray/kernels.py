@@ -1,11 +1,4 @@
-"""Hot per-sample kernels, in two interchangeable implementations.
-
-Every kernel exists twice: a pure-numpy vectorized version and a numba
-``@njit`` loop version. The active backend is chosen once at import:
-numba when it is importable and the environment variable
-``CROSSARRAY_NO_NUMBA`` is unset (or "0"), pure numpy otherwise.
-``set_backend`` / ``use_backend`` switch at runtime, which the tests and
-``benchmarks/bench_kernels.py`` use to compare the two paths.
+"""Hot per-sample kernels, vectorized with numpy.
 
 All kernels assume validated float64 inputs; shape checking belongs to
 the callers.
@@ -13,231 +6,22 @@ the callers.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
 
-ENV_DISABLE_NUMBA = "CROSSARRAY_NO_NUMBA"
 
-try:
-    from numba import njit
+def diff_central(y: np.ndarray, dt: float) -> np.ndarray:
+    """Differentiate a sampled series (n,) or (n, m); n >= 3 assumed.
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-
-def _env_disabled() -> bool:
-    return os.environ.get(ENV_DISABLE_NUMBA, "").strip() not in ("", "0")
-
-
-_BACKEND = "numba" if (HAS_NUMBA and not _env_disabled()) else "numpy"
-
-
-def get_backend() -> str:
-    """Name of the active kernel backend: "numba" or "numpy"."""
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    global _BACKEND
-    if name not in ("numpy", "numba"):
-        raise ValueError(f"unknown kernel backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _BACKEND = name
-
-
-@contextmanager
-def use_backend(name: str):
-    """Temporarily switch the kernel backend (used by tests and benchmarks)."""
-    previous = _BACKEND
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
-# ---------------------------------------------------------------------------
-# finite differences: 2nd-order central interior, 2nd-order one-sided ends
-# ---------------------------------------------------------------------------
-
-def _diff_central_np(y: np.ndarray, dt: float) -> np.ndarray:
+    2nd-order central differences inside, 2nd-order one-sided stencils
+    at the two ends.
+    """
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    dt = float(dt)
     out = np.empty_like(y)
     out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
     out[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * dt)
     out[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * dt)
     return out
-
-
-def _diff_central_loop(y, dt):
-    n, m = y.shape
-    out = np.empty_like(y)
-    for j in range(m):
-        for k in range(1, n - 1):
-            out[k, j] = (y[k + 1, j] - y[k - 1, j]) / (2.0 * dt)
-        out[0, j] = (-3.0 * y[0, j] + 4.0 * y[1, j] - y[2, j]) / (2.0 * dt)
-        out[n - 1, j] = (3.0 * y[n - 1, j] - 4.0 * y[n - 2, j] + y[n - 3, j]) / (2.0 * dt)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# bearing kinematics: distance, unit bearing, rotational vector, alpha
-# ---------------------------------------------------------------------------
-
-def _bearing_kinematics_np(rel, vel, eps_speed):
-    dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
-    bearing = rel / dist[:, None]
-    radial = np.einsum("ij,ij->i", bearing, vel)
-    # d/dt of rel/|rel| given d(rel)/dt = vel
-    didt = (vel - bearing * radial[:, None]) / dist[:, None]
-    omega = np.cross(bearing, didt)
-    q_norm = np.sqrt(np.einsum("ij,ij->i", omega, omega))
-    speed = np.sqrt(np.einsum("ij,ij->i", vel, vel))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_alpha = np.where(speed > eps_speed, -radial / speed, np.nan)
-    alpha = np.arccos(np.clip(cos_alpha, -1.0, 1.0))
-    return dist, bearing, didt, omega, q_norm, speed, alpha
-
-
-def _bearing_kinematics_loop(rel, vel, eps_speed):
-    n = rel.shape[0]
-    dist = np.empty(n)
-    bearing = np.empty((n, 3))
-    didt = np.empty((n, 3))
-    omega = np.empty((n, 3))
-    q_norm = np.empty(n)
-    speed = np.empty(n)
-    alpha = np.empty(n)
-    for k in range(n):
-        rx, ry, rz = rel[k, 0], rel[k, 1], rel[k, 2]
-        vx, vy, vz = vel[k, 0], vel[k, 1], vel[k, 2]
-        d = np.sqrt(rx * rx + ry * ry + rz * rz)
-        dist[k] = d
-        ix, iy, iz = rx / d, ry / d, rz / d
-        bearing[k, 0], bearing[k, 1], bearing[k, 2] = ix, iy, iz
-        radial = ix * vx + iy * vy + iz * vz
-        dx = (vx - ix * radial) / d
-        dy = (vy - iy * radial) / d
-        dz = (vz - iz * radial) / d
-        didt[k, 0], didt[k, 1], didt[k, 2] = dx, dy, dz
-        ox = iy * dz - iz * dy
-        oy = iz * dx - ix * dz
-        oz = ix * dy - iy * dx
-        omega[k, 0], omega[k, 1], omega[k, 2] = ox, oy, oz
-        q_norm[k] = np.sqrt(ox * ox + oy * oy + oz * oz)
-        s = np.sqrt(vx * vx + vy * vy + vz * vz)
-        speed[k] = s
-        if s > eps_speed:
-            c = -radial / s
-            if c > 1.0:
-                c = 1.0
-            elif c < -1.0:
-                c = -1.0
-            alpha[k] = np.arccos(c)
-        else:
-            alpha[k] = np.nan
-    return dist, bearing, didt, omega, q_norm, speed, alpha
-
-
-# ---------------------------------------------------------------------------
-# sliding-window relative spread: std/mean over a centered window of valid
-# samples, NaN where the window holds fewer than min_count valid entries
-# ---------------------------------------------------------------------------
-
-def _windowed_rel_std_np(x, valid, half_width, min_count):
-    n = x.shape[0]
-    xv = np.where(valid, x, 0.0)
-    c1 = np.concatenate(([0.0], np.cumsum(xv)))
-    c2 = np.concatenate(([0.0], np.cumsum(xv * xv)))
-    cn = np.concatenate(([0], np.cumsum(valid.astype(np.int64))))
-    k = np.arange(n)
-    lo = np.maximum(k - half_width, 0)
-    hi = np.minimum(k + half_width + 1, n)
-    cnt = cn[hi] - cn[lo]
-    s1 = c1[hi] - c1[lo]
-    s2 = c2[hi] - c2[lo]
-    out = np.full(n, np.nan)
-    ok = cnt >= min_count
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean = np.where(ok, s1 / np.maximum(cnt, 1), np.nan)
-        var = np.where(ok, s2 / np.maximum(cnt, 1) - mean * mean, np.nan)
-        var = np.where(var > 0.0, var, 0.0)
-        std = np.sqrt(var)
-        out = np.where(ok & (np.abs(mean) > 0.0), std / np.abs(mean), out)
-        # consistent zero-mean samples (e.g. identically zero window): spread 0
-        out = np.where(ok & (np.abs(mean) == 0.0) & (std == 0.0), 0.0, out)
-    return out
-
-
-def _windowed_rel_std_loop(x, valid, half_width, min_count):
-    n = x.shape[0]
-    out = np.full(n, np.nan)
-    # rolling window sums: add the entering sample, drop the leaving one
-    cnt = 0
-    s1 = 0.0
-    s2 = 0.0
-    for j in range(min(half_width + 1, n)):
-        if valid[j]:
-            cnt += 1
-            s1 += x[j]
-            s2 += x[j] * x[j]
-    for k in range(n):
-        if cnt >= min_count:
-            mean = s1 / cnt
-            var = s2 / cnt - mean * mean
-            if var < 0.0:
-                var = 0.0
-            std = np.sqrt(var)
-            if abs(mean) > 0.0:
-                out[k] = std / abs(mean)
-            elif std == 0.0:
-                out[k] = 0.0
-        enter = k + half_width + 1
-        if enter < n and valid[enter]:
-            cnt += 1
-            s1 += x[enter]
-            s2 += x[enter] * x[enter]
-        leave = k - half_width
-        if leave >= 0 and valid[leave]:
-            cnt -= 1
-            s1 -= x[leave]
-            s2 -= x[leave] * x[leave]
-    return out
-
-
-if HAS_NUMBA:
-    _diff_central_nb = njit(cache=True)(_diff_central_loop)
-    _bearing_kinematics_nb = njit(cache=True)(_bearing_kinematics_loop)
-    _windowed_rel_std_nb = njit(cache=True)(_windowed_rel_std_loop)
-
-
-def warmup() -> None:
-    """Trigger numba compilation (or cache load) of all jitted kernels."""
-    if not HAS_NUMBA:
-        return
-    y = np.zeros((3, 1))
-    _diff_central_nb(y, 1.0)
-    rel = np.ones((3, 3))
-    vel = np.ones((3, 3))
-    _bearing_kinematics_nb(rel, vel, 1e-6)
-    _windowed_rel_std_nb(np.ones(3), np.ones(3, dtype=np.bool_), 1, 1)
-
-
-# ---------------------------------------------------------------------------
-# public dispatchers
-# ---------------------------------------------------------------------------
-
-def diff_central(y: np.ndarray, dt: float) -> np.ndarray:
-    """Differentiate a sampled series (n,) or (n, m); n >= 3 assumed."""
-    arr = np.ascontiguousarray(y, dtype=np.float64)
-    if _BACKEND == "numba":
-        flat = arr[:, None] if arr.ndim == 1 else arr
-        out = _diff_central_nb(flat, float(dt))
-        return out[:, 0] if arr.ndim == 1 else out
-    return _diff_central_np(arr, float(dt))
 
 
 def bearing_kinematics(rel: np.ndarray, vel: np.ndarray, eps_speed: float):
@@ -250,16 +34,48 @@ def bearing_kinematics(rel: np.ndarray, vel: np.ndarray, eps_speed: float):
     """
     rel = np.ascontiguousarray(rel, dtype=np.float64)
     vel = np.ascontiguousarray(vel, dtype=np.float64)
-    if _BACKEND == "numba":
-        return _bearing_kinematics_nb(rel, vel, float(eps_speed))
-    return _bearing_kinematics_np(rel, vel, float(eps_speed))
+    dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
+    bearing = rel / dist[:, None]
+    radial = np.einsum("ij,ij->i", bearing, vel)
+    # d/dt of rel/|rel| given d(rel)/dt = vel
+    didt = (vel - bearing * radial[:, None]) / dist[:, None]
+    omega = np.cross(bearing, didt)
+    q_norm = np.sqrt(np.einsum("ij,ij->i", omega, omega))
+    speed = np.sqrt(np.einsum("ij,ij->i", vel, vel))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_alpha = np.where(speed > float(eps_speed), -radial / speed, np.nan)
+    alpha = np.arccos(np.clip(cos_alpha, -1.0, 1.0))
+    return dist, bearing, didt, omega, q_norm, speed, alpha
 
 
 def windowed_rel_std(x: np.ndarray, valid: np.ndarray, half_width: int,
                      min_count: int) -> np.ndarray:
-    """std/|mean| of valid entries in a centered window around each sample."""
+    """std/|mean| of valid entries in a centered window around each sample.
+
+    NaN where the window holds fewer than ``min_count`` valid entries.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
     valid = np.ascontiguousarray(valid, dtype=np.bool_)
-    if _BACKEND == "numba":
-        return _windowed_rel_std_nb(x, valid, int(half_width), int(min_count))
-    return _windowed_rel_std_np(x, valid, int(half_width), int(min_count))
+    half_width = int(half_width)
+    n = x.shape[0]
+    xv = np.where(valid, x, 0.0)
+    c1 = np.concatenate(([0.0], np.cumsum(xv)))
+    c2 = np.concatenate(([0.0], np.cumsum(xv * xv)))
+    cn = np.concatenate(([0], np.cumsum(valid.astype(np.int64))))
+    k = np.arange(n)
+    lo = np.maximum(k - half_width, 0)
+    hi = np.minimum(k + half_width + 1, n)
+    cnt = cn[hi] - cn[lo]
+    s1 = c1[hi] - c1[lo]
+    s2 = c2[hi] - c2[lo]
+    out = np.full(n, np.nan)
+    ok = cnt >= int(min_count)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.where(ok, s1 / np.maximum(cnt, 1), np.nan)
+        var = np.where(ok, s2 / np.maximum(cnt, 1) - mean * mean, np.nan)
+        var = np.where(var > 0.0, var, 0.0)
+        std = np.sqrt(var)
+        out = np.where(ok & (np.abs(mean) > 0.0), std / np.abs(mean), out)
+        # consistent zero-mean samples (e.g. identically zero window): spread 0
+        out = np.where(ok & (np.abs(mean) == 0.0) & (std == 0.0), 0.0, out)
+    return out

@@ -89,6 +89,11 @@ class KinematicTrack:
             if arr.shape != (self.grid.n_samples, 3):
                 raise InputShapeError(
                     f"{name} has shape {arr.shape}, expected ({self.grid.n_samples}, 3)")
+            finite = np.isfinite(arr)
+            if not finite.all():
+                k = int(np.argmin(finite.all(axis=1)))
+                raise InputShapeError(
+                    f"{name} must be finite; sample {k} is {arr[k].tolist()}")
             object.__setattr__(self, name, arr)
         if self.provenance not in (ANALYTIC, DIFFERENTIATED, INGESTED):
             raise InputShapeError(f"unknown provenance {self.provenance!r}")
@@ -98,6 +103,15 @@ class KinematicTrack:
         return replace(self, position=self.position * k,
                        velocity=self.velocity * k,
                        acceleration=self.acceleration * k)
+
+
+def constant_acceleration_track(grid: TimeGrid, accel) -> KinematicTrack:
+    """Track starting at rest at the origin under a constant acceleration."""
+    accel = np.asarray(accel, dtype=np.float64)
+    t = grid.times()
+    return KinematicTrack(grid=grid, position=0.5 * np.outer(t * t, accel),
+                          velocity=np.outer(t, accel),
+                          acceleration=np.tile(accel, (grid.n_samples, 1)))
 
 
 def differentiate(series: np.ndarray, grid: TimeGrid) -> np.ndarray:

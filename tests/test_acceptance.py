@@ -7,17 +7,16 @@ Run: pytest tests/test_acceptance.py -s
 import filecmp
 import subprocess
 import sys
-import time
 
-import numpy as np
+import pytest
 
-from crossarray import (accuracy, as_differentiated, constant_support,
-                        detect, differentiate, generate, make_playback,
-                        project_and_estimate, project_inertial,
-                        project_optics, replay_optics, slope_invariant,
-                        tilted_support, ScenarioConfig, TimeGrid)
-from crossarray.demo import demo_scenarios, sway3d_suite
-from crossarray.kinematics import KinematicTrack
+from crossarray.demo import run_demo
+
+
+@pytest.fixture(scope="module")
+def checks():
+    """The demo's check results by name; each criterion asserts on one."""
+    return {result.name: result for result in run_demo()}
 
 
 def _report(name: str, passed: bool, detail: str) -> None:
@@ -25,171 +24,37 @@ def _report(name: str, passed: bool, detail: str) -> None:
     assert passed, f"{name}: {detail}"
 
 
-def test_criterion_1_exact_3d_distance_on_all_noise_free_scenarios():
-    started = time.perf_counter()
-    worst_rel = 0.0
-    worst_fd = 1.0
-    for name, cfg in demo_scenarios().items():
-        track = generate(cfg)
-        _, _, est = project_and_estimate(track, cfg.scene_object)
-        assert est.valid_3d.any(), name
-        rel = (np.abs(est.d_3d[est.valid_3d] - est.d_true[est.valid_3d])
-               / est.d_true[est.valid_3d])
-        worst_rel = max(worst_rel, float(rel.max()))
-        _, _, est_fd = project_and_estimate(as_differentiated(track),
-                                            cfg.scene_object)
-        worst_fd = min(worst_fd,
-                       accuracy(est_fd, 0.05).estimators["d_3d"].accurate_fraction)
-    elapsed = time.perf_counter() - started
-    _report("criterion 1 (3d distance exact)",
-            worst_rel < 1e-6 and worst_fd == 1.0 and elapsed < 5.0,
-            f"analytic max rel err {worst_rel:.2e} (< 1e-6), finite-difference "
-            f"accurate fraction {worst_fd} (= 1.0), runtime {elapsed:.2f}s (< 5s)")
+def _report_check(criterion: str, result) -> None:
+    timing = "" if result.timing_s is None else f", runtime {result.timing_s:.2f}s"
+    _report(f"{criterion} ({result.name})", result.passed, result.detail + timing)
 
 
-def test_criterion_2_1d_model_fails_on_3d_sway():
-    suite = sway3d_suite()
-    assert len(suite) >= 10
-    worst_1d = 0.0
-    worst_3d = 1.0
-    for cfg in suite:
-        _, _, est = project_and_estimate(generate(cfg), cfg.scene_object)
-        report = accuracy(est, 0.05)
-        worst_1d = max(worst_1d, report.estimators["d_1d"].accurate_fraction)
-        worst_3d = min(worst_3d, report.estimators["d_3d"].accurate_fraction)
-    _report("criterion 2 (1d model contrast)",
-            worst_1d < 0.20 and worst_3d == 1.0,
-            f"{len(suite)} seeded sway scenarios: 1d accurate fraction "
-            f"<= {worst_1d:.3f} (< 0.20) while 3d = {worst_3d}")
+def test_criterion_1_exact_3d_distance_on_all_noise_free_scenarios(checks):
+    _report_check("criterion 1", checks["3d-distance-exactness"])
 
 
-def test_criterion_3_regime_collapse():
-    worst = {}
-    rect = ScenarioConfig(kind="rectilinear", duration=2.0, sample_rate=100.0,
-                          object_position=(6.0, 8.0, 0.0))
-    _, _, est = project_and_estimate(generate(rect), rect.scene_object)
-    m = est.valid_1d & est.valid_2d & est.valid_3d
-    worst["rectilinear 1d=2d=3d"] = max(
-        float(np.max(np.abs(est.d_1d[m] - est.d_3d[m]) / est.d_3d[m])),
-        float(np.max(np.abs(est.d_2d[m] - est.d_3d[m]) / est.d_3d[m])))
-
-    planar = demo_scenarios()["planar_sway"]
-    _, _, est_p = project_and_estimate(generate(planar), planar.scene_object)
-    mp = est_p.valid_2d & est_p.valid_3d
-    worst["planar 2d=3d"] = float(
-        np.max(np.abs(est_p.d_2d[mp] - est_p.d_3d[mp]) / est_p.d_3d[mp]))
-
-    orbit = demo_scenarios()["tangential_orbit"]
-    _, _, est_o = project_and_estimate(generate(orbit), orbit.scene_object)
-    mo = est_o.valid_tan & est_o.valid_3d
-    worst["tangential tan=3d"] = float(
-        np.max(np.abs(est_o.d_tan[mo] - est_o.d_3d[mo]) / est_o.d_3d[mo]))
-
-    overall = max(worst.values())
-    _report("criterion 3 (regime collapse)", overall < 1e-6,
-            ", ".join(f"{k} {v:.2e}" for k, v in worst.items()) + " (< 1e-6)")
+def test_criterion_2_1d_model_fails_on_3d_sway(checks):
+    _report_check("criterion 2", checks["1d-model-contrast"])
 
 
-def test_criterion_4_disembodied_optics_are_scale_blind():
-    base = demo_scenarios()["sway3d"]
-    track0 = generate(base)
-    optics0 = project_optics(track0, base.scene_object)
-    _, _, est0 = project_and_estimate(track0, base.scene_object)
-    worst_field = 0.0
-    worst_scale = 0.0
-    for k in (0.5, 2.0, 10.0):
-        cfg_k = base.scaled(k)
-        track_k = generate(cfg_k)
-        optics_k = project_optics(track_k, cfg_k.scene_object)
-        _, _, est_k = project_and_estimate(track_k, cfg_k.scene_object)
-        for a, b in ((optics_k.bearing, optics0.bearing),
-                     (optics_k.alpha, optics0.alpha),
-                     (optics_k.alpha_dot, optics0.alpha_dot),
-                     (optics_k.theta_dot, optics0.theta_dot),
-                     (optics_k.q_norm, optics0.q_norm)):
-            if np.all(np.isnan(a)) and np.all(np.isnan(b)):
-                continue  # theta_dot on non-planar motion: invalid either way
-            worst_field = max(worst_field, float(np.nanmax(np.abs(a - b))))
-        for a, b in ((est_k.d_true, est0.d_true), (est_k.d_3d, est0.d_3d)):
-            with np.errstate(invalid="ignore"):
-                rel = np.abs(a - k * b) / np.abs(k * b)
-            worst_scale = max(worst_scale, float(np.nanmax(rel)))
-    _report("criterion 4 (optical scale ambiguity)",
-            worst_field <= 1e-12 and worst_scale <= 1e-12,
-            f"k in (0.5, 2, 10): optical fields shift {worst_field:.2e} "
-            f"(<= 1e-12) while truth and 3d estimate rescale to "
-            f"{worst_scale:.2e} relative")
+def test_criterion_3_regime_collapse(checks):
+    _report_check("criterion 3", checks["regime-collapse"])
 
 
-def _still_inertial(grid, accel):
-    t = grid.times()
-    track = KinematicTrack(grid=grid, position=0.5 * np.outer(t * t, accel),
-                           velocity=np.outer(t, accel),
-                           acceleration=np.tile(accel, (grid.n_samples, 1)))
-    return project_inertial(track)
+def test_criterion_4_disembodied_optics_are_scale_blind(checks):
+    _report_check("criterion 4", checks["optics-scale-blindness"])
 
 
-def test_criterion_5_slope_invariant():
-    grid = TimeGrid(sample_rate=100.0, n_samples=101)
-    rest = _still_inertial(grid, np.zeros(3))
-
-    level = slope_invariant(rest, constant_support(grid))
-    err_level = float(np.max(np.abs(level.slope_angle)))
-
-    tilt = 0.17453  # 10 degrees to the spec'd print precision
-    ramp = slope_invariant(rest, tilted_support(grid, tilt))
-    err_ramp = float(np.max(np.abs(ramp.slope_angle - tilt)))
-    err_ten_deg = abs(float(ramp.slope_angle[0]) - np.deg2rad(10.0))
-
-    accel = slope_invariant(_still_inertial(grid, np.array([2.0, 0.0, 0.0])),
-                            constant_support(grid))
-    oracle = np.arctan2(2.0, 9.81)
-    err_accel = float(np.max(np.abs(accel.slope_angle - oracle)))
-    display = abs(float(accel.slope_angle[0]) - 0.2013)
-
-    _report("criterion 5 (slope invariant)",
-            err_level == 0.0 and err_ramp <= 1e-9 and err_accel <= 1e-6
-            and err_ten_deg < 1e-5 and display < 1e-3,
-            f"level {err_level:.1e}, 10-degree ramp recovered to "
-            f"{err_ramp:.1e} (<= 1e-9), accelerating balance tilt within "
-            f"{err_accel:.1e} of independent arctangent (<= 1e-6)")
+def test_criterion_5_slope_invariant(checks):
+    _report_check("criterion 5", checks["slope-invariant"])
 
 
-def test_criterion_6_simulation_is_detected():
-    live_ok = playback_ok = True
-    indeterminate = 0
-    scenarios = list(demo_scenarios().items()) + [
-        (f"sway3d_{i}", cfg) for i, cfg in enumerate(sway3d_suite())]
-    for name, cfg in scenarios:
-        track = generate(cfg)
-        optics = project_optics(track, cfg.scene_object)
-        inertial = project_inertial(track)
-        live = detect(optics, inertial)
-        live_ok &= live.verdict == "live"
-        pair = make_playback(track, track.position[0])
-        optics_pb, inertial_pb = replay_optics(pair, cfg.scene_object)
-        played = detect(optics_pb, inertial_pb)
-        playback_ok &= played.verdict == "simulated"
-        indeterminate += (live.verdict == "indeterminate")
-        indeterminate += (played.verdict == "indeterminate")
-    _report("criterion 6 (simulation detection)",
-            live_ok and playback_ok and indeterminate == 0,
-            f"{len(scenarios)} scenarios: matched streams all live "
-            f"({live_ok}), playback pairs all simulated ({playback_ok}), "
-            f"{indeterminate} indeterminate (= 0)")
+def test_criterion_6_simulation_is_detected(checks):
+    _report_check("criterion 6", checks["replay-detection"])
 
 
-def test_criterion_7_differencing_convergence_order():
-    errors = {}
-    for rate in (50.0, 100.0, 200.0):
-        grid = TimeGrid(sample_rate=rate, n_samples=int(round(2.0 * rate)) + 1)
-        t = grid.times()
-        deriv = differentiate(np.sin(t), grid)
-        errors[rate] = float(np.max(np.abs(deriv - np.cos(t))))
-    r1 = errors[50.0] / errors[100.0]
-    r2 = errors[100.0] / errors[200.0]
-    _report("criterion 7 (2nd-order convergence)", r1 >= 3.5 and r2 >= 3.5,
-            f"halving the step cuts the error x{r1:.2f} and x{r2:.2f} (>= 3.5)")
+def test_criterion_7_differencing_convergence_order(checks):
+    _report_check("criterion 7", checks["differencing-convergence"])
 
 
 def test_criterion_8_demo_is_byte_deterministic(tmp_path):

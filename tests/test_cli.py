@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -134,6 +136,26 @@ class TestAnalyze:
             fractions[name] = payload["estimators"]["d_1d"]["accurate_fraction"]
         assert fractions["tiny"] <= fractions["default"]
 
+    @pytest.mark.parametrize("row, column, code, message", [
+        (5, 3, 2, "error: position must be finite; sample 4 "),
+        (5, 0, 1, "config error: "),
+        (-1, 0, 1, "config error: "),
+    ], ids=["pz", "t", "last-t"])
+    def test_nan_cell_is_a_clean_error(self, tmp_path, sway_cfg, capsys,
+                                       row, column, code, message):
+        track_path = tmp_path / "track.csv"
+        main(["generate", "--config", str(sway_cfg), "--out", str(track_path)])
+        lines = track_path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[column] = "nan"
+        lines[row] = ",".join(cells)
+        track_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", "--track", str(track_path), "--object", "2,0,0",
+                     "--out-dir", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "out").exists()
+
 
 class TestDetect:
     def test_live_and_playback_verdicts(self, tmp_path, sway_cfg):
@@ -196,6 +218,19 @@ class TestSlope:
         main(["slope", "--config", str(cfg), "--out", str(out)])
         cols = _csv_columns(out)
         assert np.max(np.abs(cols["slope_rad"] - np.arctan2(2.0, 9.81))) < 1e-6
+
+
+class TestFileMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_artifacts_honour_the_umask(self, tmp_path, sway_cfg, umask, mode):
+        out = tmp_path / "track.csv"
+        previous = os.umask(umask)
+        try:
+            assert main(["generate", "--config", str(sway_cfg), "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
 class TestUsage:

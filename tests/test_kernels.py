@@ -1,13 +1,7 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from crossarray import kernels
-
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
 
 
 def naive_windowed_rel_std(x, valid, half, min_count):
@@ -37,86 +31,23 @@ def random_inputs():
     }
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-class TestBackendParity:
-    def test_diff_central(self, random_inputs):
-        with kernels.use_backend("numpy"):
-            a = kernels.diff_central(random_inputs["series"], 0.01)
-        with kernels.use_backend("numba"):
-            b = kernels.diff_central(random_inputs["series"], 0.01)
-        assert np.max(np.abs(a - b)) < 1e-12
-
-    def test_bearing_kinematics(self, random_inputs):
-        with kernels.use_backend("numpy"):
-            a = kernels.bearing_kinematics(random_inputs["rel"],
-                                           random_inputs["vel"], 1e-6)
-        with kernels.use_backend("numba"):
-            b = kernels.bearing_kinematics(random_inputs["rel"],
-                                           random_inputs["vel"], 1e-6)
-        for u, v in zip(a, b):
-            assert np.nanmax(np.abs(u - v)) < 1e-12
-
-    def test_windowed_rel_std(self, random_inputs):
-        args = (random_inputs["x"], random_inputs["valid"], 20, 5)
-        with kernels.use_backend("numpy"):
-            a = kernels.windowed_rel_std(*args)
-        with kernels.use_backend("numba"):
-            b = kernels.windowed_rel_std(*args)
-        assert np.array_equal(np.isnan(a), np.isnan(b))
-        assert np.nanmax(np.abs(a - b)) < 1e-10
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestWindowedSemantics:
-    def test_matches_naive_oracle(self, backend, random_inputs):
+    def test_matches_naive_oracle(self, random_inputs):
         x, valid = random_inputs["x"], random_inputs["valid"]
-        with kernels.use_backend(backend):
-            got = kernels.windowed_rel_std(x, valid, 10, 3)
+        got = kernels.windowed_rel_std(x, valid, 10, 3)
         want = naive_windowed_rel_std(x, valid, 10, 3)
         assert np.array_equal(np.isnan(got), np.isnan(want))
         assert np.nanmax(np.abs(got - want)) < 1e-10
 
-    def test_sparse_validity_yields_nan(self, backend):
+    def test_sparse_validity_yields_nan(self):
         x = np.ones(50)
         valid = np.zeros(50, dtype=bool)
         valid[25] = True
-        with kernels.use_backend(backend):
-            got = kernels.windowed_rel_std(x, valid, 3, 5)
+        got = kernels.windowed_rel_std(x, valid, 3, 5)
         assert np.all(np.isnan(got))
 
-    def test_identically_zero_window_is_consistent(self, backend):
+    def test_identically_zero_window_is_consistent(self):
         x = np.zeros(50)
         valid = np.ones(50, dtype=bool)
-        with kernels.use_backend(backend):
-            got = kernels.windowed_rel_std(x, valid, 5, 3)
+        got = kernels.windowed_rel_std(x, valid, 5, 3)
         assert np.all(got == 0.0)
-
-
-class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("cuda")
-
-    def test_use_backend_restores_previous(self):
-        before = kernels.get_backend()
-        with kernels.use_backend("numpy"):
-            assert kernels.get_backend() == "numpy"
-        assert kernels.get_backend() == before
-
-    def test_env_flag_forces_numpy(self):
-        env = dict(os.environ, **{kernels.ENV_DISABLE_NUMBA: "1"})
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from crossarray import kernels; print(kernels.get_backend())"],
-            capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.strip() == "numpy"
-
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-    def test_default_prefers_numba(self):
-        env = {k: v for k, v in os.environ.items()
-               if k != kernels.ENV_DISABLE_NUMBA}
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from crossarray import kernels; print(kernels.get_backend())"],
-            capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.strip() == "numba"

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from crossarray import (InputShapeError, InsufficientDataError, TimeGrid,
-                        differentiate, generate, resample, ScenarioConfig)
+from crossarray import (InputShapeError, InsufficientDataError, KinematicTrack,
+                        TimeGrid, differentiate, generate, resample, ScenarioConfig)
 
 
 def grid(rate=100.0, n=201):
@@ -20,6 +20,18 @@ class TestTimeGrid:
             TimeGrid(sample_rate=0.0, n_samples=10)
         with pytest.raises(InsufficientDataError):
             TimeGrid(sample_rate=100.0, n_samples=1)
+
+
+class TestKinematicTrack:
+    @pytest.mark.parametrize("name", ["position", "velocity", "acceleration"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_samples(self, name, bad):
+        g = grid(n=10)
+        series = {key: np.zeros((10, 3))
+                  for key in ("position", "velocity", "acceleration")}
+        series[name][4, 2] = bad
+        with pytest.raises(InputShapeError, match=f"{name} must be finite; sample 4 "):
+            KinematicTrack(grid=g, **series)
 
 
 class TestDifferentiate:
@@ -48,6 +60,8 @@ class TestDifferentiate:
 
     @settings(deadline=None, max_examples=25)
     @given(a=st.floats(-5, 5), b=st.floats(-5, 5), seed=st.integers(0, 2**32 - 1))
+    @example(a=4.648789051253253, b=4.94494769989716, seed=1)
+    @example(a=5e-324, b=0.0, seed=0)
     def test_linearity(self, a, b, seed):
         g = grid(n=40)
         rng = np.random.default_rng(seed)
@@ -55,7 +69,11 @@ class TestDifferentiate:
         h = rng.normal(size=(40, 3))
         lhs = differentiate(a * f + b * h, g)
         rhs = a * differentiate(f, g) + b * differentiate(h, g)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+        # rounding scales with the terms, down to the subnormal spacing
+        fi = np.finfo(np.float64)
+        scale = np.max(np.abs(a * f) + np.abs(b * h))
+        bound = 8 * (fi.eps * scale + fi.smallest_subnormal) / g.dt
+        assert np.max(np.abs(lhs - rhs)) <= bound
 
     @settings(deadline=None, max_examples=25)
     @given(c2=st.floats(-3, 3), c1=st.floats(-3, 3), c0=st.floats(-3, 3))
