@@ -19,6 +19,7 @@ from .kinematics import KinematicTrack
 from .observables import InertialStream, OpticalStream, require_same_grid
 
 DEFAULT_TOLERANCE = 0.05  # relative; reported in every output
+REACH_THRESHOLD = 0.6  # m; the reach section of every accuracy.json
 
 TIMELINE_COLUMNS = ("t", "px", "py", "pz", "v", "alpha", "q",
                     "d_true", "d_1d", "d_3d", "d_tan",
@@ -99,6 +100,19 @@ class ReachJudgment:
     verdicts: Dict[str, np.ndarray]   # bool arrays, meaningful where valid
     valid: Dict[str, np.ndarray]
     truth_verdict: np.ndarray
+
+    def to_json_dict(self) -> dict:
+        """Share of samples truly within reach, and each estimator's
+        agreement with that over its valid samples (None if it has none)."""
+        agreement = {}
+        for name, verdict in self.verdicts.items():
+            mask = self.valid[name]
+            agreement[name] = (
+                None if not mask.any() else
+                float(np.mean(verdict[mask] == self.truth_verdict[mask])))
+        return {"threshold_m": self.reach_threshold,
+                "truth_within_reach_fraction": float(np.mean(self.truth_verdict)),
+                "agreement_with_truth": agreement}
 
 
 def reach_judgment(est: DistanceEstimateSeries, threshold: float) -> ReachJudgment:

@@ -15,17 +15,16 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .analysis import (DEFAULT_TOLERANCE, SLOPE_COLUMNS, TIMELINE_COLUMNS,
-                       accuracy, exploration_summary, slope_table, timeline_table)
-from .demo import run_demo
-from .detector import detect, report_to_json_dict
+from .analysis import DEFAULT_TOLERANCE, SLOPE_COLUMNS, slope_table
+from .demo import ScenarioRun, run_demo, write_detection
+from .detector import DetectorConfig, detect
 from .errors import ConfigError, CrossArrayError
 from .fileio import RunConfig, load_run_config
-from .generators import generate, make_playback
-from .invariants import project_and_estimate, slope_invariant
+from .generators import generate
+from .invariants import slope_invariant
 from .kinematics import ScenePoint, constant_acceleration_track
 from .observables import (constant_support, project_inertial, project_optics,
-                          replay_optics, tilted_support)
+                          tilted_support)
 
 ENV_OUT_DIR = "CROSSARRAY_OUT_DIR"
 
@@ -96,15 +95,9 @@ def cmd_analyze(args) -> int:
     track, scene_object = _load_track_and_object(args, run)
     tolerance = (args.tolerance if args.tolerance is not None
                  else (run.tolerance if run else DEFAULT_TOLERANCE))
-    optics, inertial, est = project_and_estimate(track, scene_object)
-    out_dir = _out_dir(args, run)
-    fileio.write_csv(out_dir / "timeline.csv", TIMELINE_COLUMNS,
-                     timeline_table(est, optics, inertial, track))
-    payload = accuracy(est, tolerance, scenario_id=args.scenario_id).to_json_dict()
-    payload["exploration"] = exploration_summary(track).to_json_dict()
-    fileio.write_json(out_dir / "accuracy.json", payload)
-    print(out_dir / "timeline.csv")
-    print(out_dir / "accuracy.json")
+    scenario_run = ScenarioRun(args.scenario_id, track, scene_object, tolerance)
+    for path in scenario_run.write_analysis(_out_dir(args, run)):
+        print(path)
     return 0
 
 
@@ -117,25 +110,17 @@ def cmd_detect(args) -> int:
         track_a = fileio.read_track_csv(args.optics_from)
         track_b = fileio.read_track_csv(args.inertial_from)
         optics = project_optics(track_a, ScenePoint(position=_parse_vec3(args.object)))
-        inertial = project_inertial(track_b)
-        detector_cfg = run.detector if run else None
+        report = detect(optics, project_inertial(track_b),
+                        run.detector if run else DetectorConfig())
     else:
         if run is None:
             raise ConfigError("detect needs --config or --optics-from/--inertial-from")
         scenario = _require_scenario(run)
-        track = generate(scenario)
-        scene_object = scenario.scene_object
-        if args.playback:
-            pair = make_playback(track, track.position[0])
-            optics, inertial = replay_optics(pair, scene_object, gravity=run.gravity)
-        else:
-            optics = project_optics(track, scene_object)
-            inertial = project_inertial(track, gravity=run.gravity)
-        detector_cfg = run.detector
-    report = (detect(optics, inertial, detector_cfg) if detector_cfg
-              else detect(optics, inertial))
+        scenario_run = ScenarioRun("", generate(scenario), scenario.scene_object,
+                                   run.tolerance, run.detector)
+        report = scenario_run.playback if args.playback else scenario_run.live
     out = Path(args.out) if args.out else _out_dir(args, run) / "detect.json"
-    fileio.write_json(out, report_to_json_dict(report))
+    write_detection(out, report)
     print(f"{report.verdict} {out}")
     return 0
 

@@ -10,30 +10,34 @@ acceptance tests assert on their results. Each shared scenario goes
 through the pipeline once (``demo_runs``), and the checks and the
 artifact writers all read that run. The CLI ``demo`` subcommand prints
 the resulting table and writes every artifact under one output
-directory.
+directory; the CLI ``analyze`` and ``detect`` subcommands write theirs
+through the same ``ScenarioRun``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import fileio
-from .analysis import (DEFAULT_TOLERANCE, SLOPE_COLUMNS, TIMELINE_COLUMNS,
-                       AccuracyReport, accuracy, exploration_summary,
-                       reach_judgment, slope_table, timeline_table)
-from .detector import DetectionReport, detect, report_to_json_dict
+from .analysis import (DEFAULT_TOLERANCE, REACH_THRESHOLD, SLOPE_COLUMNS,
+                       TIMELINE_COLUMNS, AccuracyReport, accuracy,
+                       exploration_summary, reach_judgment, slope_table,
+                       timeline_table)
+from .detector import (DetectionReport, DetectorConfig, detect,
+                       report_to_json_dict)
 from .generators import ScenarioConfig, generate, make_playback
-from .invariants import (DistanceEstimateSeries, SlopeEstimate,
+from .invariants import (DistanceEstimateSeries, SlopeEstimate, estimate_all,
                          project_and_estimate, slope_invariant)
-from .kinematics import (KinematicTrack, TimeGrid, as_differentiated,
+from .kinematics import (KinematicTrack, ScenePoint, TimeGrid, as_differentiated,
                          constant_acceleration_track, differentiate)
 from .observables import (InertialStream, OpticalStream, SupportStream,
-                          constant_support, project_inertial, replay_optics,
+                          constant_support, project_inertial, project_optics,
                           tilted_support)
 
 ANALYTIC_REL_TOL = 1e-6
@@ -92,27 +96,71 @@ def sway3d_suite(count: int = SUITE_SIZE, base_seed: int = 1000) -> List[Scenari
 
 @dataclass(frozen=True)
 class ScenarioRun:
-    """One scenario taken once through generation, estimation and detection."""
+    """One track and one scene object, taken through the pipeline.
 
-    name: str
-    cfg: ScenarioConfig
+    Each stage runs once, when it is first read: a run that only writes
+    the analysis never detects, and one that only detects never
+    estimates. Every timeline, accuracy report and verdict of one track
+    that ``cli`` or ``demo`` writes comes from this class.
+    """
+
+    name: str  # the scenario id in accuracy.json
     track: KinematicTrack
-    optics: OpticalStream
-    inertial: InertialStream
-    est: DistanceEstimateSeries
-    report: AccuracyReport
-    live: DetectionReport      # the matched optical and inertial streams
-    playback: DetectionReport  # the same optics replayed to a still body
+    scene_object: ScenePoint
+    tolerance: float = DEFAULT_TOLERANCE
+    detector: DetectorConfig = DetectorConfig()
+
+    @cached_property
+    def optics(self) -> OpticalStream:
+        return project_optics(self.track, self.scene_object)
+
+    @cached_property
+    def inertial(self) -> InertialStream:
+        return project_inertial(self.track)
+
+    @cached_property
+    def est(self) -> DistanceEstimateSeries:
+        return estimate_all(self.optics, self.inertial, self.track, self.scene_object)
+
+    @cached_property
+    def report(self) -> AccuracyReport:
+        return accuracy(self.est, self.tolerance, scenario_id=self.name)
+
+    @cached_property
+    def live(self) -> DetectionReport:
+        """The matched optical and inertial streams."""
+        return detect(self.optics, self.inertial, self.detector)
+
+    @cached_property
+    def playback(self) -> DetectionReport:
+        """The same optics replayed to a body holding still at the first sample."""
+        still = make_playback(self.track, self.track.position[0]).stationary
+        return detect(self.optics, project_inertial(still), self.detector)
+
+    def analysis_texts(self) -> Dict[str, str]:
+        """``timeline.csv`` and ``accuracy.json``, rendered, by file name."""
+        payload = self.report.to_json_dict()
+        payload["exploration"] = exploration_summary(self.track).to_json_dict()
+        payload["reach"] = reach_judgment(self.est, REACH_THRESHOLD).to_json_dict()
+        table = timeline_table(self.est, self.optics, self.inertial, self.track)
+        return {"timeline.csv": fileio.csv_text(TIMELINE_COLUMNS, table),
+                "accuracy.json": fileio.json_text(payload)}
+
+    def write_analysis(self, out_dir: Path) -> List[Path]:
+        """Write ``timeline.csv`` and ``accuracy.json`` into ``out_dir``."""
+        paths = []
+        for name, text in self.analysis_texts().items():
+            paths.append(out_dir / name)
+            fileio.atomic_write_text(paths[-1], text)
+        return paths
+
+
+def write_detection(path: Path, report: DetectionReport) -> None:
+    fileio.write_json(path, report_to_json_dict(report))
 
 
 def run_scenario(name: str, cfg: ScenarioConfig) -> ScenarioRun:
-    track = generate(cfg)
-    optics, inertial, est = project_and_estimate(track, cfg.scene_object)
-    pair = make_playback(track, track.position[0])
-    optics_pb, inertial_pb = replay_optics(pair, cfg.scene_object)
-    return ScenarioRun(name, cfg, track, optics, inertial, est,
-                       accuracy(est, DEFAULT_TOLERANCE, scenario_id=name),
-                       detect(optics, inertial), detect(optics_pb, inertial_pb))
+    return ScenarioRun(name, generate(cfg), cfg.scene_object)
 
 
 @dataclass(frozen=True)
@@ -133,31 +181,12 @@ def demo_runs() -> DemoRuns:
     return DemoRuns(canonical, suite, started)
 
 
-def _reach_payload(est: DistanceEstimateSeries) -> dict:
-    reach = reach_judgment(est, threshold=0.6)
-    agreement = {}
-    for est_name, verdict in reach.verdicts.items():
-        mask = reach.valid[est_name]
-        agreement[est_name] = (
-            None if not mask.any() else
-            float(np.mean(verdict[mask] == reach.truth_verdict[mask])))
-    return {"threshold_m": reach.reach_threshold,
-            "truth_within_reach_fraction": float(np.mean(reach.truth_verdict)),
-            "agreement_with_truth": agreement}
-
-
 def _write_scenario_artifacts(out_dir: Path, run: ScenarioRun) -> None:
     scen_dir = out_dir / run.name
     fileio.write_track_csv(scen_dir / "track.csv", run.track)
-    fileio.write_csv(scen_dir / "timeline.csv", TIMELINE_COLUMNS,
-                     timeline_table(run.est, run.optics, run.inertial, run.track))
-    payload = run.report.to_json_dict()
-    payload["exploration"] = exploration_summary(run.track).to_json_dict()
-    payload["reach"] = _reach_payload(run.est)
-    fileio.write_json(scen_dir / "accuracy.json", payload)
-    fileio.write_json(scen_dir / "detect_live.json", report_to_json_dict(run.live))
-    fileio.write_json(scen_dir / "detect_playback.json",
-                      report_to_json_dict(run.playback))
+    run.write_analysis(scen_dir)
+    write_detection(scen_dir / "detect_live.json", run.live)
+    write_detection(scen_dir / "detect_playback.json", run.playback)
 
 
 def _rel_split(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
@@ -176,7 +205,7 @@ def check_exactness_3d(runs: DemoRuns) -> CheckResult:
         rel = np.abs(est.d_3d[valid] - est.d_true[valid]) / est.d_true[valid]
         worst_analytic = max(worst_analytic, float(np.max(rel, initial=0.0)))
         _, _, fd_est = project_and_estimate(as_differentiated(run.track),
-                                            run.cfg.scene_object)
+                                            run.scene_object)
         fd_acc = accuracy(fd_est, DEFAULT_TOLERANCE).estimators["d_3d"]
         worst_fd_fraction = min(worst_fd_fraction,
                                 fd_acc.accurate_fraction if fd_acc else 0.0)
@@ -221,7 +250,7 @@ def check_scale_ambiguity(runs: DemoRuns) -> CheckResult:
     worst_optics = 0.0
     worst_scaling = 0.0
     for k in (0.5, 2.0, 10.0):
-        scaled = base.cfg.scaled(k)
+        scaled = demo_scenarios()["sway3d"].scaled(k)
         optics_k, _, est_k = project_and_estimate(generate(scaled),
                                                   scaled.scene_object)
         for field in ("bearing", "alpha", "alpha_dot", "theta_dot", "q_norm"):
@@ -297,15 +326,10 @@ def check_convergence(runs: DemoRuns) -> CheckResult:
         f"halving the step shrinks error x{ratio_a:.2f} then x{ratio_b:.2f}")
 
 
-def _serialized(run: ScenarioRun) -> str:
-    table = timeline_table(run.est, run.optics, run.inertial, run.track)
-    return (fileio.csv_text(TIMELINE_COLUMNS, table)
-            + fileio.json_text(run.report.to_json_dict()))
-
-
 def check_determinism(runs: DemoRuns) -> CheckResult:
     first = runs.canonical["sway3d"]
-    passed = _serialized(first) == _serialized(run_scenario(first.name, first.cfg))
+    again = run_scenario(first.name, demo_scenarios()[first.name])
+    passed = first.analysis_texts() == again.analysis_texts()
     return CheckResult("determinism", passed,
                        "repeated runs serialize byte-identically" if passed
                        else "serialized outputs differ between identical runs")

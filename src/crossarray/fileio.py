@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import DEFAULT_TOLERANCE
 from .detector import DetectorConfig
 from .errors import ConfigError, InputShapeError
-from .generators import KINDS, ScenarioConfig
+from .generators import CUSTOM_SAMPLES, KINDS, ScenarioConfig
 from .kinematics import INGESTED, KinematicTrack, TimeGrid
 
 TRACK_HEADER = ["t", "px", "py", "pz", "vx", "vy", "vz", "ax", "ay", "az"]
@@ -87,6 +87,9 @@ def read_csv_columns(path) -> Dict[str, np.ndarray]:
             header = next(reader)
         except StopIteration:
             raise ConfigError(f"{path}: empty CSV") from None
+        for i, col in enumerate(header):
+            if col in header[:i]:
+                raise ConfigError(f"{path}:1: duplicate column {col!r}")
         data = {col: [] for col in header}
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -165,55 +168,54 @@ def read_timeline_csv(path) -> Dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 _FLOAT, _INT, _VEC3, _STR = "float", "int", "vec3", "str"
+# where a value goes: the ScenarioConfig, the DetectorConfig or the
+# RunConfig; the grid keys also sample a run that has no scenario
+_SCENARIO, _DETECTOR, _RUN = ("scenario",), ("detector",), ("run",)
 
-CONFIG_SCHEMA = {
-    # scenario
-    "kind": _STR,
-    "duration_s": _FLOAT,
-    "sample_rate_hz": _FLOAT,
-    "start_m": _VEC3,
-    "direction": _VEC3,
-    "speed_mps": _FLOAT,
-    "amplitude_m": _VEC3,
-    "frequency_hz": _VEC3,
-    "phase_rad": _VEC3,
-    "orbit_radius_m": _FLOAT,
-    "samples_csv": _STR,
-    "noise_sigma_m": _FLOAT,
-    "rng_seed": _INT,
-    # scene
-    "object_m": _VEC3,
-    "object_label": _STR,
-    # analysis
-    "tolerance_rel": _FLOAT,
-    "reach_threshold_m": _FLOAT,
-    # detector
-    "flow_q_max_radps": _FLOAT,
-    "scale_rel_std_max": _FLOAT,
-    "window_s": _FLOAT,
-    "fire_fraction": _FLOAT,
-    # slope
-    "gravity_mps2": _VEC3,
-    "support_normal": _VEC3,
-    "support_tilt_rad": _FLOAT,
-    "accel_mps2": _VEC3,
-    # output
-    "out_dir": _STR,
+CONFIG_KEYS = {  # key: (type, destinations, attribute)
+    "kind": (_STR, _SCENARIO, "kind"),
+    "duration_s": (_FLOAT, _SCENARIO + _RUN, "duration"),
+    "sample_rate_hz": (_FLOAT, _SCENARIO + _RUN, "sample_rate"),
+    "start_m": (_VEC3, _SCENARIO, "start"),
+    "direction": (_VEC3, _SCENARIO, "direction"),
+    "speed_mps": (_FLOAT, _SCENARIO, "speed"),
+    "amplitude_m": (_VEC3, _SCENARIO, "amplitude"),
+    "frequency_hz": (_VEC3, _SCENARIO, "frequency"),
+    "phase_rad": (_VEC3, _SCENARIO, "phase"),
+    "orbit_radius_m": (_FLOAT, _SCENARIO, "orbit_radius"),
+    "samples_csv": (_STR, _SCENARIO, "samples"),  # a track CSV's positions
+    "noise_sigma_m": (_FLOAT, _SCENARIO, "noise_sigma"),
+    "rng_seed": (_INT, _SCENARIO, "rng_seed"),
+    "object_m": (_VEC3, _SCENARIO, "object_position"),
+    "object_label": (_STR, _SCENARIO, "object_label"),
+    "tolerance_rel": (_FLOAT, _RUN, "tolerance"),
+    "flow_q_max_radps": (_FLOAT, _DETECTOR, "flow_q_max"),
+    "scale_rel_std_max": (_FLOAT, _DETECTOR, "scale_rel_std_max"),
+    "window_s": (_FLOAT, _DETECTOR, "window_s"),
+    "fire_fraction": (_FLOAT, _DETECTOR, "fire_fraction"),
+    "gravity_mps2": (_VEC3, _RUN, "gravity"),
+    "support_normal": (_VEC3, _RUN, "support_normal"),
+    "support_tilt_rad": (_FLOAT, _RUN, "support_tilt_rad"),
+    "accel_mps2": (_VEC3, _RUN, "accel"),  # only for a run with no scenario
+    "out_dir": (_STR, _RUN, "out_dir"),
 }
 
 
 def _parse_value(key, kind, raw, lineno, path):
     try:
-        if kind == _FLOAT:
-            return float(raw)
         if kind == _INT:
             return int(raw, 0)
-        if kind == _VEC3:
-            parts = [float(p) for p in raw.split(",")]
-            if len(parts) != 3:
-                raise ValueError(f"expected 3 comma-separated numbers")
-            return np.array(parts)
-        return raw
+        if kind == _STR:
+            return raw
+        if kind == _FLOAT:
+            value = float(raw)
+        else:
+            value = np.array([float(p) for p in raw.split(",")])
+            if len(value) != 3:
+                raise ValueError("expected 3 comma-separated numbers")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"must be finite, got {raw!r}")
+        return value
     except ValueError as exc:
         raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
 
@@ -229,11 +231,11 @@ def parse_config_text(text: str, path="<config>") -> Dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
                               f"got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in CONFIG_SCHEMA:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, CONFIG_SCHEMA[key], raw, lineno, path)
+        values[key] = _parse_value(key, CONFIG_KEYS[key][0], raw, lineno, path)
     return values
 
 
@@ -256,7 +258,6 @@ class RunConfig:
 
     scenario: Optional[ScenarioConfig]
     tolerance: float = DEFAULT_TOLERANCE
-    reach_threshold: float = 0.6
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
     support_normal: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
@@ -272,37 +273,18 @@ class RunConfig:
                         n_samples=int(round(self.duration * self.sample_rate)) + 1)
 
 
-def _scenario_from_values(values: Dict[str, object],
-                          config_dir: Path) -> Optional[ScenarioConfig]:
-    if "kind" not in values:
+def _scenario(kwargs: Dict[str, object], config_dir: Path) -> Optional[ScenarioConfig]:
+    if "kind" not in kwargs:
         return None
-    kind = values["kind"]
+    kind = kwargs["kind"]
     if kind not in KINDS:
         raise ConfigError(f"bad value for 'kind': {kind!r} "
                           f"(expected one of {', '.join(KINDS)})")
-    kwargs = dict(kind=kind)
-    mapping = {
-        "duration_s": "duration",
-        "sample_rate_hz": "sample_rate",
-        "start_m": "start",
-        "direction": "direction",
-        "speed_mps": "speed",
-        "amplitude_m": "amplitude",
-        "frequency_hz": "frequency",
-        "phase_rad": "phase",
-        "orbit_radius_m": "orbit_radius",
-        "noise_sigma_m": "noise_sigma",
-        "rng_seed": "rng_seed",
-        "object_m": "object_position",
-        "object_label": "object_label",
-    }
-    for key, attr in mapping.items():
-        if key in values:
-            kwargs[attr] = values[key]
-    if kind == "custom_samples":
-        if "samples_csv" not in values:
+    samples_csv = kwargs.pop("samples", None)
+    if kind == CUSTOM_SAMPLES:
+        if samples_csv is None:
             raise ConfigError("custom_samples scenario needs 'samples_csv'")
-        track = read_track_csv(config_dir / str(values["samples_csv"]))
+        track = read_track_csv(config_dir / samples_csv)
         kwargs["samples"] = track.position
         kwargs.setdefault("sample_rate", track.grid.sample_rate)
         kwargs.setdefault("duration", track.grid.duration)
@@ -311,34 +293,19 @@ def _scenario_from_values(values: Dict[str, object],
 
 def run_config_from_values(values: Dict[str, object],
                            config_dir: Path = Path(".")) -> RunConfig:
-    scenario = _scenario_from_values(values, config_dir)
-    detector_kwargs = {}
-    for key, attr in (("flow_q_max_radps", "flow_q_max"),
-                      ("scale_rel_std_max", "scale_rel_std_max"),
-                      ("window_s", "window_s"),
-                      ("fire_fraction", "fire_fraction")):
-        if key in values:
-            detector_kwargs[attr] = float(values[key])
-    kwargs = dict(scenario=scenario, detector=DetectorConfig(**detector_kwargs))
-    if "tolerance_rel" in values:
-        kwargs["tolerance"] = float(values["tolerance_rel"])
-    if "reach_threshold_m" in values:
-        kwargs["reach_threshold"] = float(values["reach_threshold_m"])
-    if "gravity_mps2" in values:
-        kwargs["gravity"] = values["gravity_mps2"]
-    if "support_normal" in values:
-        kwargs["support_normal"] = values["support_normal"]
-    if "support_tilt_rad" in values:
-        kwargs["support_tilt_rad"] = float(values["support_tilt_rad"])
-    if "accel_mps2" in values:
-        kwargs["accel"] = values["accel_mps2"]
-    if "out_dir" in values:
-        kwargs["out_dir"] = str(values["out_dir"])
-    if "sample_rate_hz" in values:
-        kwargs["sample_rate"] = float(values["sample_rate_hz"])
-    if "duration_s" in values:
-        kwargs["duration"] = float(values["duration_s"])
-    return RunConfig(**kwargs)
+    if "accel_mps2" in values and "kind" in values:
+        raise ConfigError("'accel_mps2' contradicts 'kind': a scenario's "
+                          "acceleration comes from its motion")
+    if "support_normal" in values and values.get("support_tilt_rad", 0.0) != 0.0:
+        raise ConfigError("'support_normal' contradicts a nonzero "
+                          "'support_tilt_rad': give one or the other")
+    kwargs = {"scenario": {}, "detector": {}, "run": {}}
+    for key, value in values.items():
+        _, destinations, attribute = CONFIG_KEYS[key]
+        for destination in destinations:
+            kwargs[destination][attribute] = value
+    return RunConfig(scenario=_scenario(kwargs["scenario"], config_dir),
+                     detector=DetectorConfig(**kwargs["detector"]), **kwargs["run"])
 
 
 def load_run_config(path) -> RunConfig:

@@ -156,6 +156,25 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "out").exists()
 
+    def test_bad_tolerance_writes_nothing(self, tmp_path, sway_cfg):
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(sway_cfg), "--tolerance", "0",
+                     "--out-dir", str(out)]) == 1
+        assert not out.exists()
+
+    def test_duplicate_column_is_a_config_error(self, tmp_path, sway_cfg, capsys):
+        track_path = tmp_path / "track.csv"
+        main(["generate", "--config", str(sway_cfg), "--out", str(track_path)])
+        lines = track_path.read_text().splitlines()
+        lines = [f"{line},{line.split(',')[1]}" for line in lines]
+        track_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", "--track", str(track_path), "--object", "2,0,0",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"{track_path}:1: duplicate column 'px'" in err
+
 
 class TestDetect:
     def test_live_and_playback_verdicts(self, tmp_path, sway_cfg):
@@ -220,6 +239,51 @@ class TestSlope:
         assert np.max(np.abs(cols["slope_rad"] - np.arctan2(2.0, 9.81))) < 1e-6
 
 
+class TestConfigValues:
+    @pytest.mark.parametrize("command, config, line", [
+        ("slope", "duration_s = nan\n", 1),
+        ("slope", "sample_rate_hz = inf\n", 1),
+        ("detect", SWAY_CFG + "window_s = nan\n", 9),
+        ("detect --playback", SWAY_CFG + "fire_fraction = nan\n", 9),
+        ("slope", "support_normal = nan,0,1\n", 1),
+    ], ids=["duration", "sample-rate", "window", "fire-fraction", "support-normal"])
+    def test_non_finite_value_is_a_config_error(self, tmp_path, capsys,
+                                                command, config, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        key = config.splitlines()[line - 1].split("=")[0].strip()
+        out = tmp_path / "out"
+        assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}:{line}: bad value for '{key}'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, keys", [
+        ("slope", "kind = planar_sway\naccel_mps2 = 2,0,0\n", ("kind", "accel_mps2")),
+        ("generate", SWAY_CFG + "accel_mps2 = 2,0,0\n", ("kind", "accel_mps2")),
+        ("slope", "support_normal = 1,0,0\nsupport_tilt_rad = 0.1\n",
+         ("support_normal", "support_tilt_rad")),
+    ], ids=["accel-with-kind", "accel-with-kind-generate", "normal-with-tilt"])
+    def test_contradictory_keys_are_a_config_error(self, tmp_path, capsys,
+                                                   command, config, keys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert all(f"'{key}'" in err for key in keys)
+        assert not out.exists()
+
+    def test_normal_with_zero_tilt_is_accepted(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("support_normal = 1,0,1\nsupport_tilt_rad = 0\n")
+        out = tmp_path / "slope.csv"
+        assert main(["slope", "--config", str(cfg), "--out", str(out)]) == 0
+        # balance points straight up; the normal leans 45 degrees from it
+        assert np.max(np.abs(_csv_columns(out)["slope_rad"] - np.pi / 4)) < 1e-12
+
+
 class TestFileMode:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask022", "umask077"])
@@ -254,6 +318,23 @@ class TestDemo:
         assert (out / "summary.json").exists()
         assert (out / "sway3d" / "timeline.csv").exists()
         assert (out / "slope.csv").exists()
+
+    def test_cli_writes_the_demo_scenario_bytes(self, tmp_path, sway_cfg):
+        demo = tmp_path / "demo"
+        assert main(["demo", "--out-dir", str(demo)]) == 0
+        out = tmp_path / "cli"
+        cfg = ["--config", str(sway_cfg)]
+        assert main(["generate", *cfg, "--out", str(out / "track.csv")]) == 0
+        assert main(["analyze", *cfg, "--scenario-id", "sway3d",
+                     "--out-dir", str(out)]) == 0
+        assert main(["detect", *cfg, "--out", str(out / "detect_live.json")]) == 0
+        assert main(["detect", *cfg, "--playback",
+                     "--out", str(out / "detect_playback.json")]) == 0
+        names = ("track.csv", "timeline.csv", "accuracy.json",
+                 "detect_live.json", "detect_playback.json")
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        for name in names:
+            assert (out / name).read_bytes() == (demo / "sway3d" / name).read_bytes(), name
 
 
 def _csv_columns(path):
