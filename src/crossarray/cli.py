@@ -51,16 +51,6 @@ def _out_dir(args, run: RunConfig | None = None) -> Path:
     return Path("crossarray_out")
 
 
-def _parse_vec3(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"expected 'x,y,z', got {text!r}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise ConfigError(f"bad vector {text!r}: {exc}") from None
-
-
 def _require_scenario(run: RunConfig):
     if run.scenario is None:
         raise ConfigError("config is missing required key 'kind'")
@@ -81,8 +71,8 @@ def _load_track_and_object(args, run: RunConfig | None):
         if args.object is None and (run is None or run.scenario is None):
             raise ConfigError("--track also needs --object x,y,z (or a config)")
         track = fileio.read_track_csv(args.track)
-        position = (_parse_vec3(args.object) if args.object is not None
-                    else run.scenario.object_position)
+        position = (run.scenario.object_position if args.object is None
+                    else fileio.parse_value("--object", "vec3", args.object))
         return track, ScenePoint(position=position)
     if run is None:
         raise ConfigError("either --config or --track is required")
@@ -109,7 +99,8 @@ def cmd_detect(args) -> int:
                               "--inertial-from and --object")
         track_a = fileio.read_track_csv(args.optics_from)
         track_b = fileio.read_track_csv(args.inertial_from)
-        optics = project_optics(track_a, ScenePoint(position=_parse_vec3(args.object)))
+        position = fileio.parse_value("--object", "vec3", args.object)
+        optics = project_optics(track_a, ScenePoint(position=position))
         report = detect(optics, project_inertial(track_b),
                         run.detector if run else DetectorConfig())
     else:
@@ -117,7 +108,7 @@ def cmd_detect(args) -> int:
             raise ConfigError("detect needs --config or --optics-from/--inertial-from")
         scenario = _require_scenario(run)
         scenario_run = ScenarioRun("", generate(scenario), scenario.scene_object,
-                                   run.tolerance, run.detector)
+                                   detector=run.detector)
         report = scenario_run.playback if args.playback else scenario_run.live
     out = Path(args.out) if args.out else _out_dir(args, run) / "detect.json"
     write_detection(out, report)

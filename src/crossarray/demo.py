@@ -178,6 +178,8 @@ def demo_runs() -> DemoRuns:
                  for name, cfg in demo_scenarios().items()}
     suite = [run_scenario(f"sway3d_{i:02d}", cfg)
              for i, cfg in enumerate(sway3d_suite())]
+    for run in [*canonical.values(), *suite]:
+        run.report, run.live, run.playback  # every stage inside the 5 s bound
     return DemoRuns(canonical, suite, started)
 
 

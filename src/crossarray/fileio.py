@@ -169,7 +169,8 @@ def read_timeline_csv(path) -> Dict[str, np.ndarray]:
 
 _FLOAT, _INT, _VEC3, _STR = "float", "int", "vec3", "str"
 # where a value goes: the ScenarioConfig, the DetectorConfig or the
-# RunConfig; the grid keys also sample a run that has no scenario
+# RunConfig; the grid keys also sample a run that has no scenario. A key
+# with no attribute is read by ``_scenario`` itself.
 _SCENARIO, _DETECTOR, _RUN = ("scenario",), ("detector",), ("run",)
 
 CONFIG_KEYS = {  # key: (type, destinations, attribute)
@@ -183,7 +184,7 @@ CONFIG_KEYS = {  # key: (type, destinations, attribute)
     "frequency_hz": (_VEC3, _SCENARIO, "frequency"),
     "phase_rad": (_VEC3, _SCENARIO, "phase"),
     "orbit_radius_m": (_FLOAT, _SCENARIO, "orbit_radius"),
-    "samples_csv": (_STR, _SCENARIO, "samples"),  # a track CSV's positions
+    "samples_csv": (_STR, _SCENARIO, None),  # the track CSV of custom_samples
     "noise_sigma_m": (_FLOAT, _SCENARIO, "noise_sigma"),
     "rng_seed": (_INT, _SCENARIO, "rng_seed"),
     "object_m": (_VEC3, _SCENARIO, "object_position"),
@@ -201,7 +202,9 @@ CONFIG_KEYS = {  # key: (type, destinations, attribute)
 }
 
 
-def _parse_value(key, kind, raw, lineno, path):
+def parse_value(key, kind, raw, where=""):
+    """Parse one ``float``/``int``/``vec3``/``str`` value; ``where``
+    prefixes the error (a config's ``path:line: ``)."""
     try:
         if kind == _INT:
             return int(raw, 0)
@@ -217,7 +220,7 @@ def _parse_value(key, kind, raw, lineno, path):
             raise ValueError(f"must be finite, got {raw!r}")
         return value
     except ValueError as exc:
-        raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+        raise ConfigError(f"{where}bad value for {key!r}: {exc}") from None
 
 
 def parse_config_text(text: str, path="<config>") -> Dict[str, object]:
@@ -235,7 +238,7 @@ def parse_config_text(text: str, path="<config>") -> Dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, CONFIG_KEYS[key][0], raw, lineno, path)
+        values[key] = parse_value(key, CONFIG_KEYS[key][0], raw, f"{path}:{lineno}: ")
     return values
 
 
@@ -273,14 +276,17 @@ class RunConfig:
                         n_samples=int(round(self.duration * self.sample_rate)) + 1)
 
 
-def _scenario(kwargs: Dict[str, object], config_dir: Path) -> Optional[ScenarioConfig]:
+def _scenario(kwargs: Dict[str, object], samples_csv: Optional[str],
+              config_dir: Path) -> Optional[ScenarioConfig]:
     if "kind" not in kwargs:
         return None
     kind = kwargs["kind"]
     if kind not in KINDS:
         raise ConfigError(f"bad value for 'kind': {kind!r} "
                           f"(expected one of {', '.join(KINDS)})")
-    samples_csv = kwargs.pop("samples", None)
+    if samples_csv is not None and kind != CUSTOM_SAMPLES:
+        raise ConfigError(f"'samples_csv' contradicts 'kind' = {kind}: only "
+                          f"{CUSTOM_SAMPLES} reads a track CSV")
     if kind == CUSTOM_SAMPLES:
         if samples_csv is None:
             raise ConfigError("custom_samples scenario needs 'samples_csv'")
@@ -299,12 +305,19 @@ def run_config_from_values(values: Dict[str, object],
     if "support_normal" in values and values.get("support_tilt_rad", 0.0) != 0.0:
         raise ConfigError("'support_normal' contradicts a nonzero "
                           "'support_tilt_rad': give one or the other")
+    unread = [key for key in values if CONFIG_KEYS[key][1] == _SCENARIO]
+    if unread and "kind" not in values:
+        raise ConfigError(f"{', '.join(map(repr, unread))} given without 'kind': "
+                          "only a scenario reads them")
     kwargs = {"scenario": {}, "detector": {}, "run": {}}
     for key, value in values.items():
         _, destinations, attribute = CONFIG_KEYS[key]
+        if attribute is None:
+            continue
         for destination in destinations:
             kwargs[destination][attribute] = value
-    return RunConfig(scenario=_scenario(kwargs["scenario"], config_dir),
+    scenario = _scenario(kwargs["scenario"], values.get("samples_csv"), config_dir)
+    return RunConfig(scenario=scenario,
                      detector=DetectorConfig(**kwargs["detector"]), **kwargs["run"])
 
 

@@ -60,6 +60,17 @@ class TestGenerate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_custom_samples_reproduces_the_track_it_reads(self, tmp_path, sway_cfg):
+        first = tmp_path / "first.csv"
+        assert main(["generate", "--config", str(sway_cfg), "--out", str(first)]) == 0
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text("kind = custom_samples\nsamples_csv = first.csv\n")
+        again = tmp_path / "again.csv"
+        assert main(["generate", "--config", str(cfg), "--out", str(again)]) == 0
+        a, b = read_track_csv(first), read_track_csv(again)
+        assert np.array_equal(a.position, b.position)
+        assert b.grid.n_samples == a.grid.n_samples
+
     def test_unknown_key_names_the_offender(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("kind = sway3d\nspeeed_mps = 1\n")
@@ -175,6 +186,17 @@ class TestAnalyze:
         assert err.startswith("config error: ")
         assert f"{track_path}:1: duplicate column 'px'" in err
 
+    @pytest.mark.parametrize("obj", ["nan,0,0", "2,0", "2,0,x"])
+    def test_bad_object_is_a_config_error(self, tmp_path, sway_cfg, capsys, obj):
+        track_path = tmp_path / "track.csv"
+        main(["generate", "--config", str(sway_cfg), "--out", str(track_path)])
+        capsys.readouterr()
+        assert main(["analyze", "--track", str(track_path), "--object", obj,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: bad value for '--object'")
+        assert not (tmp_path / "out").exists()
+
 
 class TestDetect:
     def test_live_and_playback_verdicts(self, tmp_path, sway_cfg):
@@ -263,7 +285,10 @@ class TestConfigValues:
         ("generate", SWAY_CFG + "accel_mps2 = 2,0,0\n", ("kind", "accel_mps2")),
         ("slope", "support_normal = 1,0,0\nsupport_tilt_rad = 0.1\n",
          ("support_normal", "support_tilt_rad")),
-    ], ids=["accel-with-kind", "accel-with-kind-generate", "normal-with-tilt"])
+        ("generate", SWAY_CFG + "samples_csv = nothere.csv\n", ("samples_csv", "kind")),
+        ("slope", "amplitude_m = 1,1,1\naccel_mps2 = 1,0,0\n", ("amplitude_m", "kind")),
+    ], ids=["accel-with-kind", "accel-with-kind-generate", "normal-with-tilt",
+            "samples-with-other-kind", "scenario-key-without-kind"])
     def test_contradictory_keys_are_a_config_error(self, tmp_path, capsys,
                                                    command, config, keys):
         cfg = tmp_path / "bad.cfg"
