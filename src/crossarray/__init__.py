@@ -13,13 +13,11 @@ from .detector import (DetectionReport, DetectorConfig, detect,
                        VERDICT_INDETERMINATE, VERDICT_LIVE, VERDICT_SIMULATED)
 from .errors import (ConfigError, CrossArrayError, DegenerateGeometryError,
                      GridAlignmentError, InputShapeError,
-                     InsufficientDataError, RegimeError)
+                     InsufficientDataError)
 from .generators import (PlaybackPair, ScenarioConfig, generate,
                          make_playback)
 from .invariants import (DistanceEstimateSeries, SlopeEstimate,
-                         estimate_all, estimate_distance_1d,
-                         estimate_distance_2d, estimate_distance_3d,
-                         estimate_distance_tangential, optics_only_ratio,
+                         estimate_all, estimate_distance_3d, optics_only_ratio,
                          project_and_estimate, slope_invariant)
 from .kinematics import (KinematicTrack, ScenePoint, TimeGrid,
                          as_differentiated, differentiate, from_positions,

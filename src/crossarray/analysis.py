@@ -25,8 +25,6 @@ TIMELINE_COLUMNS = ("t", "px", "py", "pz", "v", "alpha", "q",
                     "d_true", "d_1d", "d_3d", "d_tan",
                     "valid_1d", "valid_3d", "valid_tan")
 
-SLOPE_COLUMNS = ("t", "slope_rad", "dob_x", "dob_y", "dob_z", "degenerate")
-
 
 @dataclass(frozen=True)
 class EstimatorAccuracy:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .analysis import DEFAULT_TOLERANCE, SLOPE_COLUMNS, slope_table
+from .analysis import DEFAULT_TOLERANCE, slope_table
 from .demo import ScenarioRun, run_demo, write_detection
 from .detector import DetectorConfig, detect
 from .errors import ConfigError, CrossArrayError
@@ -130,7 +130,7 @@ def cmd_slope(args) -> int:
         support = constant_support(track.grid, run.support_normal)
     slope = slope_invariant(inertial, support)
     out = Path(args.out) if args.out else _out_dir(args, run) / "slope.csv"
-    fileio.write_csv(out, SLOPE_COLUMNS, slope_table(slope))
+    fileio.write_csv(out, slope_table(slope))
     print(out)
     return 0
 

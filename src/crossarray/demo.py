@@ -25,10 +25,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import fileio
-from .analysis import (DEFAULT_TOLERANCE, REACH_THRESHOLD, SLOPE_COLUMNS,
-                       TIMELINE_COLUMNS, AccuracyReport, accuracy,
-                       exploration_summary, reach_judgment, slope_table,
-                       timeline_table)
+from .analysis import (DEFAULT_TOLERANCE, REACH_THRESHOLD, AccuracyReport,
+                       accuracy, exploration_summary, reach_judgment,
+                       slope_table, timeline_table)
 from .detector import (DetectionReport, DetectorConfig, detect,
                        report_to_json_dict)
 from .generators import ScenarioConfig, generate, make_playback
@@ -143,7 +142,7 @@ class ScenarioRun:
         payload["exploration"] = exploration_summary(self.track).to_json_dict()
         payload["reach"] = reach_judgment(self.est, REACH_THRESHOLD).to_json_dict()
         table = timeline_table(self.est, self.optics, self.inertial, self.track)
-        return {"timeline.csv": fileio.csv_text(TIMELINE_COLUMNS, table),
+        return {"timeline.csv": fileio.csv_text(table),
                 "accuracy.json": fileio.json_text(payload)}
 
     def write_analysis(self, out_dir: Path) -> List[Path]:
@@ -359,7 +358,7 @@ def run_demo(out_dir: Optional[Path] = None) -> List[CheckResult]:
             _write_scenario_artifacts(out_dir, run)
         fileio.write_json(out_dir / "sway_suite_accuracy.json",
                           {"reports": [run.report.to_json_dict() for run in runs.suite]})
-        fileio.write_csv(out_dir / "slope.csv", SLOPE_COLUMNS,
+        fileio.write_csv(out_dir / "slope.csv",
                          slope_table(_slope(SLOPE_ACCEL, constant_support(SLOPE_GRID))))
         fileio.write_json(out_dir / "summary.json", {
             "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}

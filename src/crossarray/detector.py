@@ -6,7 +6,7 @@ lock without knowing D.
 
 - flow-without-motion: any bearing rotation while the body's speed is
   zero is impossible at finite distance, so the residual is simply
-  q_norm wherever V is below threshold.
+  q_norm wherever the body is still (``invariants.motion_masks``).
 - scale-inconsistency: for a fixed object the recovered 3D distance
   must stay coherent over short horizons; its sliding-window spread,
   normalized by the window mean, blows up when the optics were not
@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .invariants import estimate_distance_3d
+from .invariants import estimate_distance_3d, motion_masks
 from .observables import InertialStream, OpticalStream, require_same_grid
 
 VERDICT_LIVE = "live"
@@ -50,7 +50,6 @@ class DetectorConfig:
 class DetectionReport:
     verdict: str
     rule_fired: str                  # "", "flow-without-motion", "scale-inconsistency"
-    residual: np.ndarray             # max of both rules' residuals over thresholds
     residual_flow: np.ndarray        # rad/s; q_norm where the body is still
     residual_scale: np.ndarray       # dimensionless; NaN where unevaluable
     flow_fire_fraction: float
@@ -64,19 +63,18 @@ def detect(optics: OpticalStream, inertial: InertialStream,
     require_same_grid(optics.grid, inertial.grid)
     n = optics.grid.n_samples
 
-    still = inertial.speed < optics.eps_speed
-    quiet = optics.q_norm < optics.eps_rate
-    residual_flow = np.where(still & ~quiet, optics.q_norm, 0.0)
+    moving, resolvable = motion_masks(optics, inertial)
+    residual_flow = np.where(~moving & resolvable, optics.q_norm, 0.0)
 
     d_3d = estimate_distance_3d(optics, inertial)
-    valid = ~still & (optics.q_norm >= optics.eps_rate) & np.isfinite(d_3d)
+    valid = moving & resolvable & np.isfinite(d_3d)
     half_width = max(int(round(config.window_s * optics.grid.sample_rate / 2.0)), 1)
     residual_scale = kernels.windowed_rel_std(
         np.where(valid, d_3d, 0.0), valid, half_width, config.min_window_valid)
 
     if n < config.min_samples:
-        return _report(VERDICT_INDETERMINATE, "", residual_flow, residual_scale,
-                       0.0, None, config)
+        return DetectionReport(VERDICT_INDETERMINATE, "", residual_flow,
+                               residual_scale, 0.0, None, config)
 
     flow_fire = float(np.count_nonzero(residual_flow > config.flow_q_max)) / n
     evaluable = np.isfinite(residual_scale)
@@ -91,26 +89,13 @@ def detect(optics: OpticalStream, inertial: InertialStream,
         verdict, rule = VERDICT_SIMULATED, "flow-without-motion"
     elif scale_fire is not None and scale_fire >= config.fire_fraction:
         verdict, rule = VERDICT_SIMULATED, "scale-inconsistency"
-    elif scale_fire is None and flow_fire == 0.0 and np.all(still | quiet):
+    elif scale_fire is None and flow_fire == 0.0 and not np.any(moving & resolvable):
         # nothing moved and nothing flowed: a still scene cannot be classified
         verdict, rule = VERDICT_INDETERMINATE, ""
     else:
         verdict, rule = VERDICT_LIVE, ""
-    return _report(verdict, rule, residual_flow, residual_scale,
-                   flow_fire, scale_fire, config)
-
-
-def _report(verdict, rule, residual_flow, residual_scale, flow_fire,
-            scale_fire, config) -> DetectionReport:
-    with np.errstate(invalid="ignore"):
-        combined = np.fmax(residual_flow / config.flow_q_max,
-                           np.nan_to_num(residual_scale, nan=0.0)
-                           / config.scale_rel_std_max)
-    return DetectionReport(
-        verdict=verdict, rule_fired=rule, residual=combined,
-        residual_flow=residual_flow, residual_scale=residual_scale,
-        flow_fire_fraction=flow_fire, scale_fire_fraction=scale_fire,
-        config=config)
+    return DetectionReport(verdict, rule, residual_flow, residual_scale,
+                           flow_fire, scale_fire, config)
 
 
 def report_to_json_dict(report: DetectionReport) -> dict:

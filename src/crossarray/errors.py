@@ -23,7 +23,3 @@ class DegenerateGeometryError(CrossArrayError):
 
 class GridAlignmentError(CrossArrayError):
     """Two streams that must share a time grid do not."""
-
-
-class RegimeError(CrossArrayError):
-    """An estimator was invoked outside the motion regime it is defined for."""

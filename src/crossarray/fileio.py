@@ -25,14 +25,11 @@ import numpy as np
 from .analysis import DEFAULT_TOLERANCE
 from .detector import DetectorConfig
 from .errors import ConfigError, InputShapeError
-from .generators import CUSTOM_SAMPLES, KINDS, ScenarioConfig
+from .generators import CUSTOM_SAMPLES, KIND_FIELDS, KINDS, ScenarioConfig
 from .kinematics import INGESTED, KinematicTrack, TimeGrid
 
 TRACK_HEADER = ["t", "px", "py", "pz", "vx", "vy", "vz", "ax", "ay", "az"]
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
+CSV_BLOCK_ROWS = 4096
 
 
 def _umask() -> int:
@@ -57,27 +54,34 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def csv_text(header, columns) -> str:
-    """Render named columns (same length) as CSV text; bools become 0/1."""
-    n = len(columns[header[0]])
-    for col in header:
-        if len(columns[col]) != n:
-            raise InputShapeError(f"column {col!r} has mismatched length")
-    lines = [",".join(header)]
-    for k in range(n):
-        cells = []
-        for col in header:
-            v = columns[col][k]
-            if isinstance(v, (bool, np.bool_)):
-                cells.append("1" if v else "0")
-            else:
-                cells.append(_fmt(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _csv_cells(col: np.ndarray) -> list:
+    if col.dtype == np.bool_:
+        return ["1" if v else "0" for v in col.tolist()]
+    return list(map(repr, col.tolist()))
 
 
-def write_csv(path, header, columns) -> None:
-    atomic_write_text(path, csv_text(header, columns))
+def csv_text(columns) -> str:
+    """Render named columns (same length) as CSV text, in the table's key
+    order; bool columns become 0/1, all others shortest round-trip floats."""
+    names = list(columns)
+    n = len(columns[names[0]])
+    cols = []
+    for name, col in columns.items():
+        if len(col) != n:
+            raise InputShapeError(f"column {name!r} has mismatched length")
+        col = np.asarray(col)
+        cols.append(col if col.dtype == np.bool_ else col.astype(np.float64, copy=False))
+    parts = [",".join(names) + "\n"]
+    # a block of rows at a time: the per-cell strings of a whole table
+    # would take several times the memory of its text
+    for start in range(0, n, CSV_BLOCK_ROWS):
+        cells = [_csv_cells(col[start:start + CSV_BLOCK_ROWS]) for col in cols]
+        parts.append("".join(",".join(row) + "\n" for row in zip(*cells)))
+    return "".join(parts)
+
+
+def write_csv(path, columns) -> None:
+    atomic_write_text(path, csv_text(columns))
 
 
 def read_csv_columns(path) -> Dict[str, np.ndarray]:
@@ -112,7 +116,7 @@ def write_track_csv(path, track: KinematicTrack) -> None:
                            ("a", track.acceleration)):
         for j, axis in enumerate("xyz"):
             cols[f"{prefix}{axis}"] = series[:, j]
-    write_csv(path, TRACK_HEADER, cols)
+    write_csv(path, cols)
 
 
 def _infer_grid(t: np.ndarray, path) -> TimeGrid:
@@ -169,8 +173,7 @@ def read_timeline_csv(path) -> Dict[str, np.ndarray]:
 
 _FLOAT, _INT, _VEC3, _STR = "float", "int", "vec3", "str"
 # where a value goes: the ScenarioConfig, the DetectorConfig or the
-# RunConfig; the grid keys also sample a run that has no scenario. A key
-# with no attribute is read by ``_scenario`` itself.
+# RunConfig; the grid keys also sample a run that has no scenario.
 _SCENARIO, _DETECTOR, _RUN = ("scenario",), ("detector",), ("run",)
 
 CONFIG_KEYS = {  # key: (type, destinations, attribute)
@@ -184,7 +187,7 @@ CONFIG_KEYS = {  # key: (type, destinations, attribute)
     "frequency_hz": (_VEC3, _SCENARIO, "frequency"),
     "phase_rad": (_VEC3, _SCENARIO, "phase"),
     "orbit_radius_m": (_FLOAT, _SCENARIO, "orbit_radius"),
-    "samples_csv": (_STR, _SCENARIO, None),  # the track CSV of custom_samples
+    "samples_csv": (_STR, _SCENARIO, "samples"),  # ``_scenario`` reads the CSV
     "noise_sigma_m": (_FLOAT, _SCENARIO, "noise_sigma"),
     "rng_seed": (_INT, _SCENARIO, "rng_seed"),
     "object_m": (_VEC3, _SCENARIO, "object_position"),
@@ -276,21 +279,13 @@ class RunConfig:
                         n_samples=int(round(self.duration * self.sample_rate)) + 1)
 
 
-def _scenario(kwargs: Dict[str, object], samples_csv: Optional[str],
-              config_dir: Path) -> Optional[ScenarioConfig]:
+def _scenario(kwargs: Dict[str, object], config_dir: Path) -> Optional[ScenarioConfig]:
     if "kind" not in kwargs:
         return None
-    kind = kwargs["kind"]
-    if kind not in KINDS:
-        raise ConfigError(f"bad value for 'kind': {kind!r} "
-                          f"(expected one of {', '.join(KINDS)})")
-    if samples_csv is not None and kind != CUSTOM_SAMPLES:
-        raise ConfigError(f"'samples_csv' contradicts 'kind' = {kind}: only "
-                          f"{CUSTOM_SAMPLES} reads a track CSV")
-    if kind == CUSTOM_SAMPLES:
-        if samples_csv is None:
+    if kwargs["kind"] == CUSTOM_SAMPLES:
+        if "samples" not in kwargs:
             raise ConfigError("custom_samples scenario needs 'samples_csv'")
-        track = read_track_csv(config_dir / samples_csv)
+        track = read_track_csv(config_dir / kwargs["samples"])
         kwargs["samples"] = track.position
         kwargs.setdefault("sample_rate", track.grid.sample_rate)
         kwargs.setdefault("duration", track.grid.duration)
@@ -305,18 +300,24 @@ def run_config_from_values(values: Dict[str, object],
     if "support_normal" in values and values.get("support_tilt_rad", 0.0) != 0.0:
         raise ConfigError("'support_normal' contradicts a nonzero "
                           "'support_tilt_rad': give one or the other")
-    unread = [key for key in values if CONFIG_KEYS[key][1] == _SCENARIO]
-    if unread and "kind" not in values:
+    kind = values.get("kind")
+    if kind is not None and kind not in KINDS:
+        raise ConfigError(f"bad value for 'kind': {kind!r} "
+                          f"(expected one of {', '.join(KINDS)})")
+    unread = [key for key in values if CONFIG_KEYS[key][1] == _SCENARIO
+              and CONFIG_KEYS[key][2] not in KIND_FIELDS.get(kind, ())]
+    if unread and kind is None:
         raise ConfigError(f"{', '.join(map(repr, unread))} given without 'kind': "
                           "only a scenario reads them")
+    if unread:
+        raise ConfigError(f"{', '.join(map(repr, unread))} not read by "
+                          f"'kind' = {kind}")
     kwargs = {"scenario": {}, "detector": {}, "run": {}}
     for key, value in values.items():
         _, destinations, attribute = CONFIG_KEYS[key]
-        if attribute is None:
-            continue
         for destination in destinations:
             kwargs[destination][attribute] = value
-    scenario = _scenario(kwargs["scenario"], values.get("samples_csv"), config_dir)
+    scenario = _scenario(kwargs["scenario"], config_dir)
     return RunConfig(scenario=scenario,
                      detector=DetectorConfig(**kwargs["detector"]), **kwargs["run"])
 

@@ -30,20 +30,25 @@ CUSTOM_SAMPLES = "custom_samples"
 
 KINDS = (RECTILINEAR, PLANAR_SWAY, SWAY3D, TANGENTIAL_ORBIT, CUSTOM_SAMPLES)
 
+# the ScenarioConfig fields that ``generate`` reads for each kind
+_SHARED = ("kind", "duration", "sample_rate", "object_position", "object_label")
+_NOISE = ("noise_sigma", "rng_seed")
+_SWAY = ("start", "amplitude", "frequency", "phase")  # start is the sway center
+KIND_FIELDS = {
+    RECTILINEAR: _SHARED + ("start", "direction", "speed") + _NOISE,
+    PLANAR_SWAY: _SHARED + _SWAY + _NOISE,  # z of amplitude is forced to 0
+    SWAY3D: _SHARED + _SWAY + _NOISE,
+    # circles object_position in its z plane, starting at phase[0]
+    TANGENTIAL_ORBIT: _SHARED + ("orbit_radius", "speed", "phase") + _NOISE,
+    CUSTOM_SAMPLES: _SHARED + ("samples",),  # (n, 3) positions on the grid
+}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Parameters for one synthetic scenario.
 
-    Only the fields relevant to ``kind`` are consulted:
-
-    - rectilinear: ``start``, ``direction``, ``speed``
-    - planar_sway / sway3d: ``start`` (sway center), ``amplitude``,
-      ``frequency``, ``phase`` (z amplitude is forced to 0 for planar)
-    - tangential_orbit: ``orbit_radius``, ``speed``, ``phase[0]``
-      (orbit circles ``object_position`` in the z = object z plane)
-    - custom_samples: ``samples`` (n, 3 positions on the grid)
-
+    Only the fields that ``KIND_FIELDS[kind]`` names are consulted.
     ``duration`` is the time from the first to the last sample, so a
     track holds ``round(duration * sample_rate) + 1`` samples.
     """

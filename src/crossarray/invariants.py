@@ -2,19 +2,25 @@
 
 Distance to a fixed object is not recoverable from optics alone: every
 optical angle is unchanged when the whole scene is scaled. Combining
-optical angles with the body's own speed V closes the gap. Four
-estimators are implemented, named for the motion regime they assume:
+optical angles with the body's own speed V closes the gap.
+``estimate_all`` fills one column per estimator, each named for the
+motion regime it assumes:
 
-- ``estimate_distance_1d``:  D = V sin(alpha) / |alpha_dot|
+- ``d_1d``:  D = V sin(alpha) / |alpha_dot|
   (heading fixed; alpha_dot is the rate of the angle between object
   direction and heading)
-- ``estimate_distance_2d``:  D = V sin(alpha) / |theta_dot|
+- ``d_2d``:  D = V sin(alpha) / |theta_dot|
   (planar motion; theta_dot is the signed bearing rate in the plane)
-- ``estimate_distance_3d``:  D = V |sin(alpha)| / q_norm
+- ``d_3d``:  D = V |sin(alpha)| / q_norm, also ``estimate_distance_3d``
   (general 3D motion; q_norm is the norm of the bearing rotation)
-- ``estimate_distance_tangential``:  D = V / q_norm
+- ``d_tan``:  D = V / q_norm
   (exact when motion is tangential to an object-centered sphere, i.e.
   alpha = pi/2; elsewhere it overestimates by 1/|sin(alpha)|)
+
+``motion_masks`` applies the fixed thresholds ``EPS_SPEED`` and
+``EPS_RATE``, and ``estimator_validity`` builds each column's mask from
+them. A sample outside its mask is NaN, except that ``d_3d`` is 0 where
+the body is still and the bearing rotates.
 
 ``optics_only_ratio`` is the scale-blind remainder |sin(alpha)|/q_norm:
 it equals D/V, a time, and demonstrates that no distance in meters
@@ -33,11 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeError
 from .kinematics import KinematicTrack, ScenePoint, TimeGrid
-from .observables import (DEFAULT_GRAVITY, InertialStream, OpticalStream,
-                          SupportStream, project_inertial, project_optics,
-                          require_same_grid)
+from .observables import (DEFAULT_GRAVITY, EPS_RATE, EPS_SPEED, InertialStream,
+                          OpticalStream, SupportStream, project_inertial,
+                          project_optics, require_same_grid)
 
 EPS_FORCE = 1e-6  # m/s^2; below this the specific force has no direction
 
@@ -78,29 +83,14 @@ class SlopeEstimate:
     degenerate: np.ndarray             # (n,) bool, True in free fall
 
 
-def _base_validity(optics: OpticalStream, inertial: InertialStream) -> np.ndarray:
-    return inertial.speed > optics.eps_speed
+def motion_masks(optics: OpticalStream, inertial: InertialStream):
+    """Where speed and optics pair up: ``(moving, resolvable)``.
 
-
-def estimate_distance_1d(optics: OpticalStream, inertial: InertialStream) -> np.ndarray:
-    """Distance from the alpha-rate model; NaN where invalid."""
-    require_same_grid(optics.grid, inertial.grid)
-    valid = estimator_validity(optics, inertial)["d_1d"]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d = inertial.speed * np.sin(optics.alpha) / np.abs(optics.alpha_dot)
-    return np.where(valid, d, np.nan)
-
-
-def estimate_distance_2d(optics: OpticalStream, inertial: InertialStream) -> np.ndarray:
-    """Distance from the signed planar bearing rate; planar motion only."""
-    require_same_grid(optics.grid, inertial.grid)
-    if not optics.is_planar:
-        raise RegimeError("the planar distance model needs planar motion; "
-                          "use the 3D model for general trajectories")
-    valid = estimator_validity(optics, inertial)["d_2d"]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d = inertial.speed * np.sin(optics.alpha) / np.abs(optics.theta_dot)
-    return np.where(valid, d, np.nan)
+    The body moves where its speed exceeds ``EPS_SPEED`` (speed at the
+    threshold counts as still); the bearing rotation is resolvable where
+    ``q_norm`` reaches ``EPS_RATE``.
+    """
+    return inertial.speed > EPS_SPEED, optics.q_norm >= EPS_RATE
 
 
 def estimate_distance_3d(optics: OpticalStream, inertial: InertialStream) -> np.ndarray:
@@ -113,36 +103,23 @@ def estimate_distance_3d(optics: OpticalStream, inertial: InertialStream) -> np.
     distance at all.
     """
     require_same_grid(optics.grid, inertial.grid)
-    moving = _base_validity(optics, inertial)
-    resolvable = optics.q_norm >= optics.eps_rate
-    valid = moving & resolvable
+    moving, resolvable = motion_masks(optics, inertial)
     with np.errstate(invalid="ignore", divide="ignore"):
         d = inertial.speed * np.abs(np.sin(optics.alpha)) / optics.q_norm
     d = np.where(~moving & resolvable, 0.0, d)
-    return np.where(valid | (~moving & resolvable), d, np.nan)
-
-
-def estimate_distance_tangential(optics: OpticalStream,
-                                 inertial: InertialStream) -> np.ndarray:
-    """Distance from speed over rotation norm; exact for tangential motion."""
-    require_same_grid(optics.grid, inertial.grid)
-    valid = estimator_validity(optics, inertial)["d_tan"]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d = inertial.speed / optics.q_norm
-    return np.where(valid, d, np.nan)
+    return np.where(resolvable, d, np.nan)
 
 
 def estimator_validity(optics: OpticalStream, inertial: InertialStream):
     """Validity masks for all four estimators, keyed like ``by_name``."""
-    moving = _base_validity(optics, inertial)
-    resolvable = optics.q_norm >= optics.eps_rate
+    moving, resolvable = motion_masks(optics, inertial)
     # NaN rates compare False against the threshold, masking themselves out
     with np.errstate(invalid="ignore"):
-        rate_1d = np.abs(optics.alpha_dot) >= optics.eps_rate
-        rate_2d = np.abs(optics.theta_dot) >= optics.eps_rate
+        rate_1d = np.abs(optics.alpha_dot) >= EPS_RATE
+        rate_2d = np.abs(optics.theta_dot) >= EPS_RATE
     return {
-        "d_1d": moving & optics.alpha_dot_valid & rate_1d,
-        "d_2d": moving & optics.theta_dot_valid & rate_2d,
+        "d_1d": moving & np.isfinite(optics.alpha) & rate_1d,
+        "d_2d": moving & rate_2d,
         "d_3d": moving & resolvable,
         "d_tan": moving & resolvable,
     }
@@ -153,23 +130,22 @@ def estimate_all(optics: OpticalStream, inertial: InertialStream,
                  scene_object: ScenePoint) -> DistanceEstimateSeries:
     """Run every estimator and attach the ground-truth distance series.
 
-    For non-planar motion the planar model is not applicable; its
-    column is all-NaN with validity off rather than an error, so one
-    series can describe any scenario.
+    ``d_1d``, ``d_2d`` and ``d_tan`` are NaN wherever their validity
+    mask is off; ``d_2d`` is all-NaN for non-planar motion, whose
+    ``theta_dot`` is NaN, so one series can describe any scenario.
     """
     require_same_grid(optics.grid, inertial.grid, track.grid)
-    n = track.grid.n_samples
     validity = estimator_validity(optics, inertial)
-    d_1d = estimate_distance_1d(optics, inertial)
-    if optics.is_planar:
-        d_2d = estimate_distance_2d(optics, inertial)
-    else:
-        d_2d = np.full(n, np.nan)
-    d_3d = estimate_distance_3d(optics, inertial)
-    d_tan = estimate_distance_tangential(optics, inertial)
+    speed = inertial.speed
+    with np.errstate(invalid="ignore", divide="ignore"):
+        along = speed * np.sin(optics.alpha)
+        d_1d = np.where(validity["d_1d"], along / np.abs(optics.alpha_dot), np.nan)
+        d_2d = np.where(validity["d_2d"], along / np.abs(optics.theta_dot), np.nan)
+        d_tan = np.where(validity["d_tan"], speed / optics.q_norm, np.nan)
     d_true = np.linalg.norm(track.position - scene_object.position[None, :], axis=1)
     return DistanceEstimateSeries(
-        grid=track.grid, d_1d=d_1d, d_2d=d_2d, d_3d=d_3d, d_tan=d_tan,
+        grid=track.grid, d_1d=d_1d, d_2d=d_2d,
+        d_3d=estimate_distance_3d(optics, inertial), d_tan=d_tan,
         valid_1d=validity["d_1d"], valid_2d=validity["d_2d"],
         valid_3d=validity["d_3d"], valid_tan=validity["d_tan"],
         d_true=d_true, scene_object=scene_object)
@@ -190,10 +166,9 @@ def optics_only_ratio(optics: OpticalStream) -> np.ndarray:
     whatever is done with optical angles alone, the meters never appear.
     NaN where alpha is undefined or the rotation is below threshold.
     """
-    valid = optics.alpha_valid & (optics.q_norm >= optics.eps_rate)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.abs(np.sin(optics.alpha)) / optics.q_norm
-    return np.where(valid, ratio, np.nan)
+    return np.where(optics.q_norm >= EPS_RATE, ratio, np.nan)
 
 
 def slope_invariant(inertial: InertialStream, support: SupportStream) -> SlopeEstimate:

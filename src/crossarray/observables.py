@@ -30,8 +30,8 @@ from .generators import PlaybackPair
 from .kinematics import (ANALYTIC, KinematicTrack, ScenePoint, TimeGrid,
                          differentiate)
 
-# validity thresholds; overridable per call
-EPS_SPEED = 1e-6     # m/s below which the heading (and alpha) is undefined
+# validity thresholds, fixed; invariants.motion_masks applies them
+EPS_SPEED = 1e-6     # m/s at or below which the heading (and alpha) is undefined
 EPS_RATE = 1e-6      # rad/s below which angular rates cannot be inverted
 MIN_SEPARATION = 1e-9  # m; object closer than this to the track is degenerate
 
@@ -44,17 +44,12 @@ class OpticalStream:
 
     grid: TimeGrid
     bearing: np.ndarray        # (n, 3) unit vectors, object -> observer
-    alpha: np.ndarray          # (n,) rad, NaN where the heading is undefined
+    alpha: np.ndarray          # (n,) rad, NaN where speed <= EPS_SPEED
     alpha_dot: np.ndarray      # (n,) rad/s, finite-differenced from alpha
     theta_dot: np.ndarray      # (n,) rad/s signed, NaN unless motion is planar
     q_norm: np.ndarray         # (n,) rad/s, norm of bearing x d(bearing)/dt
-    alpha_valid: np.ndarray
-    alpha_dot_valid: np.ndarray
-    theta_dot_valid: np.ndarray
     is_planar: bool
     plane_normal: Optional[np.ndarray]
-    eps_speed: float = EPS_SPEED
-    eps_rate: float = EPS_RATE
 
 
 @dataclass(frozen=True)
@@ -114,9 +109,7 @@ def _fit_plane(points: np.ndarray) -> Tuple[bool, np.ndarray]:
     return bool(residual <= 1e-9 * extent), normal
 
 
-def project_optics(track: KinematicTrack, scene_object: ScenePoint,
-                   eps_speed: float = EPS_SPEED,
-                   eps_rate: float = EPS_RATE) -> OpticalStream:
+def project_optics(track: KinematicTrack, scene_object: ScenePoint) -> OpticalStream:
     """Project a trajectory into the optical stream of a fixed object.
 
     For analytic tracks the bearing derivative comes from the chain
@@ -134,34 +127,21 @@ def project_optics(track: KinematicTrack, scene_object: ScenePoint,
             f"object {scene_object.label!r} coincides with the trajectory "
             f"(min separation {np.sqrt(dist_sq.min()):.3g} m)")
 
-    dist, bearing, didt, omega, q_norm, speed, alpha = kernels.bearing_kinematics(
-        rel, track.velocity, eps_speed)
+    _, bearing, didt, omega, q_norm, _, alpha = kernels.bearing_kinematics(
+        rel, track.velocity, EPS_SPEED)
     if track.provenance != ANALYTIC:
         didt = differentiate(bearing, track.grid)
         omega = np.cross(bearing, didt)
         q_norm = np.linalg.norm(omega, axis=1)
 
-    alpha_valid = speed > eps_speed
-    alpha_dot = differentiate(alpha, track.grid)
-    alpha_dot_valid = np.isfinite(alpha_dot) & alpha_valid
-
     points = np.vstack([track.position, scene_object.position[None, :]])
     is_planar, normal = _fit_plane(points)
-    if is_planar:
-        theta_dot = omega @ normal
-        theta_dot_valid = np.ones(track.grid.n_samples, dtype=bool)
-        plane_normal = normal
-    else:
-        theta_dot = np.full(track.grid.n_samples, np.nan)
-        theta_dot_valid = np.zeros(track.grid.n_samples, dtype=bool)
-        plane_normal = None
-
+    theta_dot = omega @ normal if is_planar else np.full(track.grid.n_samples, np.nan)
     return OpticalStream(
-        grid=track.grid, bearing=bearing, alpha=alpha, alpha_dot=alpha_dot,
-        theta_dot=theta_dot, q_norm=q_norm, alpha_valid=alpha_valid,
-        alpha_dot_valid=alpha_dot_valid, theta_dot_valid=theta_dot_valid,
-        is_planar=is_planar, plane_normal=plane_normal,
-        eps_speed=eps_speed, eps_rate=eps_rate)
+        grid=track.grid, bearing=bearing, alpha=alpha,
+        alpha_dot=differentiate(alpha, track.grid), theta_dot=theta_dot,
+        q_norm=q_norm, is_planar=is_planar,
+        plane_normal=normal if is_planar else None)
 
 
 def project_inertial(track: KinematicTrack,
@@ -176,17 +156,14 @@ def project_inertial(track: KinematicTrack,
 
 
 def replay_optics(pair: PlaybackPair, scene_object: ScenePoint,
-                  gravity: np.ndarray = DEFAULT_GRAVITY,
-                  eps_speed: float = EPS_SPEED,
-                  eps_rate: float = EPS_RATE) -> Tuple[OpticalStream, InertialStream]:
+                  gravity: np.ndarray = DEFAULT_GRAVITY) -> Tuple[OpticalStream, InertialStream]:
     """Observable streams of a body watching a replay of recorded motion.
 
     Optics come from the recorded (live) track; inertial quantities come
     from the stationary body. This is the mismatched pairing that
     destroys the cross-sense distance parameter.
     """
-    optics = project_optics(pair.live, scene_object,
-                            eps_speed=eps_speed, eps_rate=eps_rate)
+    optics = project_optics(pair.live, scene_object)
     inertial = project_inertial(pair.stationary, gravity=gravity)
     return optics, inertial
 

@@ -6,7 +6,8 @@ from crossarray import (ConfigError, ScenarioConfig, accuracy,
                         accuracy_from_timeline, exploration_summary, generate,
                         project_and_estimate, reach_judgment, timeline_table)
 from crossarray.analysis import TIMELINE_COLUMNS
-from crossarray.fileio import read_timeline_csv, write_csv
+from crossarray.fileio import (CSV_BLOCK_ROWS, csv_text, read_timeline_csv,
+                               write_csv)
 
 
 def evaluate(cfg):
@@ -92,7 +93,7 @@ class TestTimelineTable:
     def test_one_row_per_sample(self, sway3d_cfg):
         track, optics, inertial, est = evaluate(sway3d_cfg)
         table = timeline_table(est, optics, inertial, track)
-        assert set(table) == set(TIMELINE_COLUMNS)
+        assert tuple(table) == TIMELINE_COLUMNS  # the CSV header order
         for col in table.values():
             assert len(col) == track.grid.n_samples
 
@@ -108,13 +109,19 @@ class TestTimelineTable:
         track, optics, inertial, est = evaluate(sway3d_cfg)
         table = timeline_table(est, optics, inertial, track)
         path = tmp_path / "timeline.csv"
-        write_csv(path, list(TIMELINE_COLUMNS), table)
+        write_csv(path, table)
         loaded = read_timeline_csv(path)
-        write_csv(tmp_path / "again.csv", list(TIMELINE_COLUMNS), loaded)
+        write_csv(tmp_path / "again.csv", loaded)
         assert path.read_bytes() == (tmp_path / "again.csv").read_bytes()
         direct = accuracy_from_timeline(table, 0.05)
         reloaded = accuracy_from_timeline(loaded, 0.05)
         assert direct == reloaded
+
+    def test_csv_rows_match_a_row_by_row_rendering_across_blocks(self):
+        x = np.random.default_rng(0).normal(size=2 * CSV_BLOCK_ROWS + 1)
+        lines = csv_text({"x": x, "positive": x > 0}).split("\n")
+        assert lines[0] == "x,positive" and lines[-1] == ""
+        assert lines[1:-1] == [f"{v!r},{int(v > 0)}" for v in x.tolist()]
 
     def test_missing_column_is_rejected(self, sway3d_cfg):
         track, optics, inertial, est = evaluate(sway3d_cfg)

@@ -287,8 +287,12 @@ class TestConfigValues:
          ("support_normal", "support_tilt_rad")),
         ("generate", SWAY_CFG + "samples_csv = nothere.csv\n", ("samples_csv", "kind")),
         ("slope", "amplitude_m = 1,1,1\naccel_mps2 = 1,0,0\n", ("amplitude_m", "kind")),
+        ("generate", RECT_CFG + "amplitude_m = 1,1,1\n", ("amplitude_m", "kind")),
+        ("generate", "kind = custom_samples\nsamples_csv = nothere.csv\n"
+         "noise_sigma_m = 0.01\n", ("noise_sigma_m", "kind")),
     ], ids=["accel-with-kind", "accel-with-kind-generate", "normal-with-tilt",
-            "samples-with-other-kind", "scenario-key-without-kind"])
+            "samples-with-other-kind", "scenario-key-without-kind",
+            "key-the-kind-does-not-read", "noise-on-custom-samples"])
     def test_contradictory_keys_are_a_config_error(self, tmp_path, capsys,
                                                    command, config, keys):
         cfg = tmp_path / "bad.cfg"

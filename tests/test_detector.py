@@ -5,6 +5,7 @@ from crossarray import (DetectorConfig, GridAlignmentError, ScenarioConfig,
                         detect, generate, make_playback, project_inertial,
                         project_optics, replay_optics)
 from crossarray.detector import report_to_json_dict
+from crossarray.observables import EPS_RATE
 
 
 def live_streams(cfg):
@@ -39,7 +40,7 @@ class TestPlayback:
         pair = make_playback(generate(sway3d_cfg), (0.0, 0.0, 0.0))
         optics, inertial = replay_optics(pair, sway3d_cfg.scene_object)
         report = detect(optics, inertial)
-        flowing = optics.q_norm >= optics.eps_rate
+        flowing = optics.q_norm >= EPS_RATE
         assert np.array_equal(report.residual_flow[flowing],
                               optics.q_norm[flowing])
 
@@ -58,6 +59,19 @@ class TestIndeterminate:
         cfg = ScenarioConfig(kind="sway3d", duration=0.05, sample_rate=100.0)
         report = detect(*live_streams(cfg))
         assert report.verdict == "indeterminate"
+
+    @pytest.mark.parametrize("speed, verdict", [(1e-6, "indeterminate"),
+                                                (1.01e-6, "live")])
+    def test_speed_at_the_threshold_counts_as_still(self, speed, verdict):
+        cfg = ScenarioConfig(kind="rectilinear", speed=speed,
+                             object_position=(0.0, 0.5, 0.0))
+        optics, inertial = live_streams(cfg)
+        report = detect(optics, inertial)
+        assert report.verdict == verdict
+        still = verdict == "indeterminate"
+        assert np.all(optics.q_norm >= EPS_RATE)
+        assert np.array_equal(report.residual_flow, optics.q_norm * still)
+        assert np.all(np.isnan(report.residual_scale)) == still
 
     def test_motionless_scene_cannot_be_classified(self):
         cfg = ScenarioConfig(kind="rectilinear", speed=0.0, duration=1.0,

@@ -1,15 +1,13 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossarray import (RegimeError, ScenarioConfig, constant_support,
-                        estimate_distance_1d, estimate_distance_2d,
+from crossarray import (ScenarioConfig, constant_support, estimate_all,
                         estimate_distance_3d, generate, make_playback,
                         optics_only_ratio, project_and_estimate,
-                        project_inertial, replay_optics, slope_invariant,
-                        tilted_support)
-from crossarray.kinematics import KinematicTrack, TimeGrid
-from crossarray.observables import DEFAULT_GRAVITY
+                        project_inertial, project_optics, replay_optics,
+                        slope_invariant, tilted_support)
+from crossarray.kinematics import KinematicTrack, TimeGrid, as_differentiated
+from crossarray.observables import DEFAULT_GRAVITY, EPS_RATE, EPS_SPEED
 
 
 def pipeline(cfg):
@@ -27,9 +25,9 @@ class TestModel1D:
     def test_motionless_body_has_no_valid_samples(self):
         cfg = ScenarioConfig(kind="rectilinear", speed=0.0, duration=1.0,
                              object_position=(0.0, 3.0, 0.0))
-        _, optics, inertial, est = pipeline(cfg)
+        _, _, _, est = pipeline(cfg)
         assert not est.valid_1d.any()
-        assert np.all(np.isnan(estimate_distance_1d(optics, inertial)))
+        assert np.all(np.isnan(est.d_1d))
 
 
 class TestModel2D:
@@ -47,11 +45,6 @@ class TestModel2D:
         shared = est.valid_1d & est.valid_2d
         rel = np.abs(est.d_2d[shared] - est.d_1d[shared]) / est.d_1d[shared]
         assert np.max(rel) < 1e-6
-
-    def test_nonplanar_motion_is_a_regime_error(self, sway3d_cfg):
-        _, optics, inertial, _ = pipeline(sway3d_cfg)
-        with pytest.raises(RegimeError):
-            estimate_distance_2d(optics, inertial)
 
     def test_slow_bearing_rotation_is_invalid(self):
         # moving straight at the object: bearing never rotates
@@ -80,10 +73,10 @@ class TestModel3D:
         pair = make_playback(generate(sway3d_cfg), (0.0, 0.0, 0.0))
         optics, inertial = replay_optics(pair, sway3d_cfg.scene_object)
         d = estimate_distance_3d(optics, inertial)
-        flowing = optics.q_norm >= optics.eps_rate
+        flowing = optics.q_norm >= EPS_RATE
         assert flowing.any()
         assert np.all(d[flowing] == 0.0)
-        valid = (inertial.speed > optics.eps_speed) & flowing
+        valid = (inertial.speed > EPS_SPEED) & flowing
         assert not valid.any()
 
 
@@ -203,9 +196,35 @@ class TestCombinedSeries:
     def test_validity_flags_respect_thresholds(self, sway3d_cfg):
         track, optics, inertial, est = pipeline(sway3d_cfg)
         assert np.all(est.d_3d[est.valid_3d] >= 0.0)
-        slow = inertial.speed <= optics.eps_speed
+        slow = inertial.speed <= EPS_SPEED
         for _, mask in est.by_name().values():
             assert not (mask & slow).any()
+
+    def test_values_agree_with_their_masks(self, canonical):
+        noisy = ScenarioConfig(kind="sway3d", duration=4.0, sample_rate=200.0,
+                               noise_sigma=1e-3, rng_seed=5)
+        for cfg in [*canonical.values(), noisy]:
+            obj = cfg.scene_object
+            track = generate(cfg)
+            differenced = as_differentiated(track)
+            replayed = replay_optics(make_playback(track, track.position[0]), obj)
+            for t, (optics, inertial) in (
+                    (track, (project_optics(track, obj), project_inertial(track))),
+                    (differenced, (project_optics(differenced, obj),
+                                   project_inertial(differenced))),
+                    (track, replayed)):
+                est = estimate_all(optics, inertial, t, obj)
+                still = inertial.speed <= EPS_SPEED
+                for name, (values, mask) in est.by_name().items():
+                    assert not np.any(mask & still), name
+                    assert np.all(np.isfinite(values[mask])), name
+                    assert np.all(values[mask] >= 0.0), name
+                    if name != "d_3d":
+                        assert np.all(np.isnan(values[~mask])), name
+                still_flow = still & (optics.q_norm >= EPS_RATE)
+                off = ~est.valid_3d
+                assert np.all(est.d_3d[off & still_flow] == 0.0)
+                assert np.all(np.isnan(est.d_3d[off & ~still_flow]))
 
     def test_d2_column_absent_for_nonplanar_motion(self, sway3d_cfg):
         _, _, _, est = pipeline(sway3d_cfg)
