@@ -91,6 +91,13 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a missing file fails in its own read, with its own message
+        return False
+
+
 def cmd_detect(args) -> int:
     run = load_run_config(args.config) if args.config else None
     if args.optics_from or args.inertial_from:
@@ -98,7 +105,9 @@ def cmd_detect(args) -> int:
             raise ConfigError("mismatched-source detection needs --optics-from, "
                               "--inertial-from and --object")
         track_a = fileio.read_track_csv(args.optics_from)
-        track_b = fileio.read_track_csv(args.inertial_from)
+        # one recording checked against itself is read once
+        track_b = (track_a if _same_file(args.optics_from, args.inertial_from)
+                   else fileio.read_track_csv(args.inertial_from))
         position = fileio.parse_value("--object", "vec3", args.object)
         optics = project_optics(track_a, ScenePoint(position=position))
         report = detect(optics, project_inertial(track_b),

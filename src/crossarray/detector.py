@@ -19,6 +19,7 @@ reserved for streams too short or too empty to decide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -101,7 +102,7 @@ def detect(optics: OpticalStream, inertial: InertialStream,
 def report_to_json_dict(report: DetectionReport) -> dict:
     """JSON-safe dict of a detection report (NaN residuals become null)."""
     def series(x):
-        return [None if not np.isfinite(v) else float(v) for v in x]
+        return [v if math.isfinite(v) else None for v in x.tolist()]
 
     return {
         "verdict": report.verdict,

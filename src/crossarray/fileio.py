@@ -84,16 +84,62 @@ def write_csv(path, columns) -> None:
     atomic_write_text(path, csv_text(columns))
 
 
+def _read_header(reader, path) -> list:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{path}: empty CSV") from None
+    for i, col in enumerate(header):
+        if col in header[:i]:
+            raise ConfigError(f"{path}:1: duplicate column {col!r}")
+    return header
+
+
+def _parse_body(handle, width: int) -> Optional[np.ndarray]:
+    """The rest of ``handle`` through numpy's C parser, transposed to one
+    row per column; None where that parser fails or may read otherwise
+    than ``_read_csv_rows``: it skips blank lines, and warns on an empty
+    body."""
+    first = next(handle, "")
+    if not first.strip():
+        return None
+    lines = 1
+
+    def body():
+        nonlocal lines
+        yield first
+        for lines, line in enumerate(handle, start=2):
+            yield line
+
+    try:
+        table = np.loadtxt(body(), delimiter=",", comments=None, quotechar=None,
+                           dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    return table.T if table.shape == (lines, width) else None
+
+
 def read_csv_columns(path) -> Dict[str, np.ndarray]:
+    """Named float64 columns of a CSV whose first line is its header.
+
+    The body is parsed by ``np.loadtxt``. Where that fails or could
+    differ (a blank line, a ragged row, a quoted cell, ``1_0``, a
+    non-ASCII digit), ``_read_csv_rows`` reads the file again: it accepts
+    what ``float()`` accepts and names the line of any error.
+    """
+    with open(path, newline="") as handle:
+        header = _read_header(csv.reader(handle), path)
+        table = _parse_body(handle, len(header))
+    if table is None:
+        return _read_csv_rows(path)
+    return dict(zip(header, table))
+
+
+def _read_csv_rows(path) -> Dict[str, np.ndarray]:
+    """The reference reader: ``csv.reader`` and ``float()``, row by row."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty CSV") from None
-        for i, col in enumerate(header):
-            if col in header[:i]:
-                raise ConfigError(f"{path}:1: duplicate column {col!r}")
+        header = _read_header(reader, path)
         data = {col: [] for col in header}
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):

@@ -5,8 +5,10 @@ import stat
 import numpy as np
 import pytest
 
+from crossarray import fileio
 from crossarray.cli import main
-from crossarray.fileio import read_track_csv
+from crossarray.fileio import read_csv_columns, read_track_csv, write_csv
+from crossarray.observables import EPS_RATE
 
 SWAY_CFG = """\
 kind = sway3d
@@ -223,6 +225,68 @@ class TestDetect:
                      str(b), "--object", "2,0,0", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["verdict"] == "simulated"
 
+    def test_one_recording_against_itself_is_read_once(self, tmp_path, sway_cfg,
+                                                       monkeypatch):
+        a = tmp_path / "a.csv"
+        main(["generate", "--config", str(sway_cfg), "--out", str(a)])
+        copy = tmp_path / "copy" / "a.csv"
+        copy.parent.mkdir()
+        copy.write_bytes(a.read_bytes())
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return read_csv_columns(path)
+
+        monkeypatch.setattr(fileio, "read_csv_columns", counted)
+        outs = {}
+        for name, inertial in (("same", a), ("alias", tmp_path / "copy" / ".." / "a.csv"),
+                               ("copy", copy)):
+            reads.clear()
+            outs[name] = tmp_path / f"{name}.json"
+            assert main(["detect", "--optics-from", str(a), "--inertial-from",
+                         str(inertial), "--object", "2,0,0",
+                         "--out", str(outs[name])]) == 0
+            assert len(reads) == (2 if name == "copy" else 1), name
+        # read twice from two paths, the same recording writes the same bytes
+        assert outs["same"].read_bytes() == outs["copy"].read_bytes()
+        assert outs["alias"].read_bytes() == outs["copy"].read_bytes()
+        assert json.loads(outs["same"].read_text())["verdict"] == "live"
+
+    def test_missing_inertial_file_is_an_io_error(self, tmp_path, sway_cfg, capsys):
+        a = tmp_path / "a.csv"
+        main(["generate", "--config", str(sway_cfg), "--out", str(a)])
+        capsys.readouterr()
+        assert main(["detect", "--optics-from", str(a), "--inertial-from",
+                     str(tmp_path / "nope.csv"), "--object", "2,0,0",
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err.startswith("io error: ")
+
+    def test_recorded_flow_on_a_still_body(self, tmp_path, sway_cfg):
+        """An ingested track whose positions move while vx, vy, vz are 0:
+        its bearing rotates with no speed to pair it with."""
+        moving = tmp_path / "moving.csv"
+        main(["generate", "--config", str(sway_cfg), "--out", str(moving)])
+        cols = read_csv_columns(moving)
+        for axis in "xyz":
+            cols[f"v{axis}"] = np.zeros_like(cols[f"v{axis}"])
+        still = tmp_path / "still.csv"
+        write_csv(still, cols)
+        out = tmp_path / "out"
+        assert main(["analyze", "--track", str(still), "--object", "2,0,0",
+                     "--out-dir", str(out)]) == 0
+        timeline = read_csv_columns(out / "timeline.csv")
+        still_flow = (timeline["v"] == 0.0) & (timeline["q"] >= EPS_RATE)
+        assert np.count_nonzero(still_flow) > 0.9 * len(still_flow)
+        assert np.all(timeline["d_3d"][still_flow] == 0.0)
+        assert not np.any(timeline["valid_3d"])
+        report = tmp_path / "detect.json"
+        assert main(["detect", "--optics-from", str(still), "--inertial-from",
+                     str(still), "--object", "2,0,0", "--out", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["verdict"] == "simulated"
+        assert payload["rule_fired"] == "flow-without-motion"
+
     def test_grid_mismatch_is_a_runtime_error(self, tmp_path, sway_cfg,
                                               rect_cfg_file):
         a = tmp_path / "a.csv"
@@ -241,7 +305,7 @@ class TestSlope:
         cfg.write_text("accel_mps2 = 0,0,0\nduration_s = 0.5\n")
         out = tmp_path / "slope.csv"
         assert main(["slope", "--config", str(cfg), "--out", str(out)]) == 0
-        cols = _csv_columns(out)
+        cols = read_csv_columns(out)
         assert np.max(np.abs(cols["slope_rad"])) < 1e-12
 
     def test_ramp_reports_tilt(self, tmp_path):
@@ -249,7 +313,7 @@ class TestSlope:
         cfg.write_text("support_tilt_rad = 0.17453\naccel_mps2 = 0,0,0\n")
         out = tmp_path / "slope.csv"
         main(["slope", "--config", str(cfg), "--out", str(out)])
-        cols = _csv_columns(out)
+        cols = read_csv_columns(out)
         assert np.max(np.abs(cols["slope_rad"] - 0.17453)) < 1e-9
 
     def test_acceleration_tilts_balance(self, tmp_path):
@@ -257,7 +321,7 @@ class TestSlope:
         cfg.write_text("accel_mps2 = 2,0,0\n")
         out = tmp_path / "slope.csv"
         main(["slope", "--config", str(cfg), "--out", str(out)])
-        cols = _csv_columns(out)
+        cols = read_csv_columns(out)
         assert np.max(np.abs(cols["slope_rad"] - np.arctan2(2.0, 9.81))) < 1e-6
 
 
@@ -310,7 +374,7 @@ class TestConfigValues:
         out = tmp_path / "slope.csv"
         assert main(["slope", "--config", str(cfg), "--out", str(out)]) == 0
         # balance points straight up; the normal leans 45 degrees from it
-        assert np.max(np.abs(_csv_columns(out)["slope_rad"] - np.pi / 4)) < 1e-12
+        assert np.max(np.abs(read_csv_columns(out)["slope_rad"] - np.pi / 4)) < 1e-12
 
 
 class TestFileMode:
@@ -364,8 +428,3 @@ class TestDemo:
         assert sorted(p.name for p in out.iterdir()) == sorted(names)
         for name in names:
             assert (out / name).read_bytes() == (demo / "sway3d" / name).read_bytes(), name
-
-
-def _csv_columns(path):
-    from crossarray.fileio import read_csv_columns
-    return read_csv_columns(path)

@@ -4,7 +4,7 @@ import pytest
 from crossarray import (DetectorConfig, GridAlignmentError, ScenarioConfig,
                         detect, generate, make_playback, project_inertial,
                         project_optics, replay_optics)
-from crossarray.detector import report_to_json_dict
+from crossarray.detector import DetectionReport, report_to_json_dict
 from crossarray.observables import EPS_RATE
 
 
@@ -128,3 +128,16 @@ class TestConfigurationAndReport:
         payload = report_to_json_dict(detect(optics, inertial))
         text = json.dumps(payload, allow_nan=False)
         assert "simulated" in text
+
+    def test_residual_series_match_a_per_scalar_conversion(self):
+        values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                           2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+                           0.1, 1.0 / 3.0])
+        report = DetectionReport("live", "", values, values[::-1], 0.0, None,
+                                 DetectorConfig())
+        payload = report_to_json_dict(report)
+        for key, x in (("residual_flow", values), ("residual_scale", values[::-1])):
+            # the conversion the whole-array one replaced
+            expected = [None if not np.isfinite(v) else float(v) for v in x]
+            assert [(type(v), repr(v)) for v in payload[key]] == \
+                [(type(v), repr(v)) for v in expected]
