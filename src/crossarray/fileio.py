@@ -5,6 +5,14 @@ comma separators and a mandatory header, so files are diff-able and
 parse back bit-identically. JSON is sorted and NaN-free (null instead).
 All writes are atomic: temp file in the target directory, then rename.
 
+A CSV table of ``CSV_FORK_ROWS`` rows or more is rendered on two CPUs:
+a forked child writes the second half of the rows, block by block, to
+an unnamed temporary file while this process renders the first half.
+The text is byte-identical to a serial rendering. Rendering stays
+serial where ``os.fork`` does not exist, where the process may run on
+fewer than two CPUs, and while another Python thread is alive; a child
+that fails has its half rendered here instead.
+
 The run config is a flat ``key = value`` text file with units spelled
 out in key names (``speed_mps``, ``duration_s``). Unknown keys are
 errors: a silently ignored typo would invalidate a replication.
@@ -16,6 +24,7 @@ import csv
 import json
 import os
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional
@@ -30,6 +39,10 @@ from .kinematics import INGESTED, KinematicTrack, TimeGrid
 
 TRACK_HEADER = ["t", "px", "py", "pz", "vx", "vy", "vz", "ax", "ay", "az"]
 CSV_BLOCK_ROWS = 4096
+# tables from this many rows are rendered by two processes; the split
+# already paid at this floor: 8192 rows of one column, 10.2 ms -> 9.7 ms
+# on 2 CPUs in a process holding 60 MB
+CSV_FORK_ROWS = 2 * CSV_BLOCK_ROWS
 
 
 def _umask() -> int:
@@ -60,9 +73,72 @@ def _csv_cells(col: np.ndarray) -> list:
     return list(map(repr, col.tolist()))
 
 
+def _csv_rows(cols, start: int, stop: int):
+    """Text of rows [start, stop), one block of CSV_BLOCK_ROWS rows at a
+    time: the per-cell strings of a whole table would take several times
+    the memory of its text."""
+    for lo in range(start, stop, CSV_BLOCK_ROWS):
+        cells = [_csv_cells(col[lo:min(lo + CSV_BLOCK_ROWS, stop)]) for col in cols]
+        yield "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_row(n: int) -> int:
+    """The block boundary nearest the middle of an n-row table, where a
+    forked child takes over; 0 to render the table in this process."""
+    if (n < CSV_FORK_ROWS or not hasattr(os, "fork")
+            # fork copies only the calling thread, whatever locks the others hold
+            or threading.active_count() > 1 or _usable_cpus() < 2):
+        return 0
+    return round(n / 2 / CSV_BLOCK_ROWS) * CSV_BLOCK_ROWS
+
+
+def _csv_rows_forked(cols, mid: int, n: int) -> list:
+    """Rows [0, mid) rendered here while a forked child writes rows
+    [mid, n) into an unnamed file; the tail is rendered here instead if
+    the child cannot start, fails, or leaves a short file."""
+    with tempfile.TemporaryFile(buffering=0) as spill:
+        try:
+            pid = os.fork()
+        except OSError:
+            return list(_csv_rows(cols, 0, n))
+        if pid == 0:
+            # the child calls nothing public and never returns: os._exit
+            # skips the parent's finally blocks, atexit hooks and buffers
+            code = 1
+            try:
+                with open(spill.fileno(), "w", encoding="ascii", newline="",
+                          closefd=False) as out:
+                    out.writelines(_csv_rows(cols, mid, n))
+                code = 0
+            finally:
+                os._exit(code)
+        status = None
+        try:
+            blocks = list(_csv_rows(cols, 0, mid))
+            status = os.waitpid(pid, 0)[1]
+        finally:
+            if status is None:  # interrupted: leave no child behind
+                import signal  # not otherwise loaded by the CLI
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        spill.seek(0)
+        tail = spill.read().decode("ascii") if status == 0 else ""
+    if tail.count("\n") != n - mid:
+        tail = "".join(_csv_rows(cols, mid, n))
+    blocks.append(tail)
+    return blocks
+
+
 def csv_text(columns) -> str:
     """Render named columns (same length) as CSV text, in the table's key
-    order; bool columns become 0/1, all others shortest round-trip floats."""
+    order; bool columns become 0/1, all others shortest round-trip floats.
+    Large tables are rendered by two processes at once (see above)."""
     names = list(columns)
     n = len(columns[names[0]])
     cols = []
@@ -71,13 +147,9 @@ def csv_text(columns) -> str:
             raise InputShapeError(f"column {name!r} has mismatched length")
         col = np.asarray(col)
         cols.append(col if col.dtype == np.bool_ else col.astype(np.float64, copy=False))
-    parts = [",".join(names) + "\n"]
-    # a block of rows at a time: the per-cell strings of a whole table
-    # would take several times the memory of its text
-    for start in range(0, n, CSV_BLOCK_ROWS):
-        cells = [_csv_cells(col[start:start + CSV_BLOCK_ROWS]) for col in cols]
-        parts.append("".join(",".join(row) + "\n" for row in zip(*cells)))
-    return "".join(parts)
+    mid = _fork_row(n)
+    rows = _csv_rows_forked(cols, mid, n) if mid else _csv_rows(cols, 0, n)
+    return "".join([",".join(names) + "\n", *rows])
 
 
 def write_csv(path, columns) -> None:

@@ -138,9 +138,11 @@ def _sway_positions(cfg: ScenarioConfig, t: np.ndarray, planar: bool):
     if planar:
         amp[2] = 0.0
     w = 2.0 * np.pi * cfg.frequency
-    pos = cfg.start[None, :] + amp[None, :] * np.sin(np.outer(t, w) + cfg.phase[None, :])
-    vel = amp[None, :] * w[None, :] * np.cos(np.outer(t, w) + cfg.phase[None, :])
-    acc = -amp[None, :] * w[None, :] ** 2 * np.sin(np.outer(t, w) + cfg.phase[None, :])
+    arg = np.outer(t, w) + cfg.phase[None, :]
+    sin = np.sin(arg)
+    pos = cfg.start[None, :] + amp[None, :] * sin
+    vel = amp[None, :] * w[None, :] * np.cos(arg)
+    acc = -amp[None, :] * w[None, :] ** 2 * sin
     return pos, vel, acc
 
 

@@ -24,28 +24,31 @@ def diff_central(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def bearing_kinematics(rel: np.ndarray, vel: np.ndarray, eps_speed: float):
+def bearing_kinematics(rel: np.ndarray, vel: np.ndarray, eps_speed: float,
+                       chain_rule: bool):
     """Per-sample bearing geometry for relative positions ``rel`` (n, 3).
 
-    Returns (distance, unit bearing, d(bearing)/dt, rotational vector,
-    its norm, speed, angle between object direction and heading). The
-    bearing derivative comes from the chain rule on ``vel``, so it is
-    exact whenever the velocity series is.
+    Returns (unit bearing, angle between object direction and heading,
+    rotational vector, its norm). With ``chain_rule`` the rotation comes
+    from d(bearing)/dt by the chain rule on ``vel``, so it is exact
+    whenever the velocity series is; without it the last two are None.
     """
     rel = np.ascontiguousarray(rel, dtype=np.float64)
     vel = np.ascontiguousarray(vel, dtype=np.float64)
     dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
     bearing = rel / dist[:, None]
     radial = np.einsum("ij,ij->i", bearing, vel)
-    # d/dt of rel/|rel| given d(rel)/dt = vel
-    didt = (vel - bearing * radial[:, None]) / dist[:, None]
-    omega = np.cross(bearing, didt)
-    q_norm = np.sqrt(np.einsum("ij,ij->i", omega, omega))
+    omega = q_norm = None
+    if chain_rule:
+        # d/dt of rel/|rel| given d(rel)/dt = vel
+        didt = (vel - bearing * radial[:, None]) / dist[:, None]
+        omega = np.cross(bearing, didt)
+        q_norm = np.sqrt(np.einsum("ij,ij->i", omega, omega))
     speed = np.sqrt(np.einsum("ij,ij->i", vel, vel))
     with np.errstate(invalid="ignore", divide="ignore"):
         cos_alpha = np.where(speed > float(eps_speed), -radial / speed, np.nan)
     alpha = np.arccos(np.clip(cos_alpha, -1.0, 1.0))
-    return dist, bearing, didt, omega, q_norm, speed, alpha
+    return bearing, alpha, omega, q_norm
 
 
 def windowed_rel_std(x: np.ndarray, valid: np.ndarray, half_width: int,

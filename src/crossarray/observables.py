@@ -127,9 +127,10 @@ def project_optics(track: KinematicTrack, scene_object: ScenePoint) -> OpticalSt
             f"object {scene_object.label!r} coincides with the trajectory "
             f"(min separation {np.sqrt(dist_sq.min()):.3g} m)")
 
-    _, bearing, didt, omega, q_norm, _, alpha = kernels.bearing_kinematics(
-        rel, track.velocity, EPS_SPEED)
-    if track.provenance != ANALYTIC:
+    analytic = track.provenance == ANALYTIC
+    bearing, alpha, omega, q_norm = kernels.bearing_kinematics(
+        rel, track.velocity, EPS_SPEED, chain_rule=analytic)
+    if not analytic:
         didt = differentiate(bearing, track.grid)
         omega = np.cross(bearing, didt)
         q_norm = np.linalg.norm(omega, axis=1)

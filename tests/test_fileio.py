@@ -1,11 +1,17 @@
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossarray import fileio
 from crossarray.errors import ConfigError
-from crossarray.fileio import (_read_csv_rows, read_csv_columns, read_track_csv,
-                               write_csv)
+from crossarray.fileio import (CSV_BLOCK_ROWS, CSV_FORK_ROWS, _read_csv_rows, csv_text,
+                               read_csv_columns, read_track_csv, write_csv)
 
 HEADER = "t,px,py\n"
 ROWS = "0.0,1.0,2.0\n0.5,1.5,2.5\n1.0,2.0,3.0\n"
@@ -92,3 +98,114 @@ def test_round_trip_is_bit_identical(tmp_path_factory, columns):
         assert np.array_equal(np.isnan(got[name]), nan)
         assert got[name][~nan].view(np.int64).tolist() == col[~nan].view(np.int64).tolist()
     assert _bits(got) == _bits(_read_csv_rows(path))
+
+
+def _large_table(n=CSV_FORK_ROWS + CSV_BLOCK_ROWS // 2 + 3):
+    """Three columns of n rows (not a block multiple by default), with every
+    edge value in both halves of the table."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    x[::97] = np.resize(EDGE_VALUES, len(x[::97]))
+    return {"x": x, "y": -x[::-1], "flag": x > 0}
+
+
+def _row_by_row(table):
+    lines = [",".join(table)]
+    for row in zip(*(col.tolist() for col in table.values())):
+        lines.append(",".join(str(int(v)) if isinstance(v, bool) else repr(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Calls of os.fork, counted; rendering sees two usable CPUs."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
+    return calls
+
+
+class TestForkedRender:
+    def test_split_table_matches_a_row_by_row_rendering(self, forks):
+        table = _large_table()
+        assert csv_text(table) == _row_by_row(table)
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["thread", "one-cpu", "small"])
+    def test_serial_cases_do_not_fork(self, monkeypatch, forks, case):
+        table = _large_table(CSV_FORK_ROWS - 1 if case == "small" else CSV_FORK_ROWS)
+        if case == "one-cpu":
+            monkeypatch.setattr(fileio, "_usable_cpus", lambda: 1)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        if case == "thread":
+            thread.start()
+        try:
+            text = csv_text(table)
+        finally:
+            release.set()
+            if case == "thread":
+                thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert forks == []
+        assert text == _row_by_row(table)
+
+    @pytest.mark.parametrize("failure", ["raises", "killed", "short", "no-fork"])
+    def test_failed_child_gives_the_same_bytes_and_is_reaped(self, monkeypatch, forks,
+                                                             failure):
+        parent = os.getpid()
+        real_rows = fileio._csv_rows
+
+        def rows(cols, start, stop):
+            if os.getpid() == parent:
+                yield from real_rows(cols, start, stop)
+            elif failure == "raises":
+                raise RuntimeError("the child fails")
+            elif failure == "killed":
+                yield next(real_rows(cols, start, stop))
+                os.kill(os.getpid(), signal.SIGKILL)
+            else:  # exits 0, one row short
+                yield from real_rows(cols, start, stop - 1)
+
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(fileio, "_csv_rows", rows)
+        if failure == "no-fork":
+            monkeypatch.setattr(os, "fork", no_fork)
+        table = _large_table()
+        assert csv_text(table) == _row_by_row(table)
+        assert len(forks) == (0 if failure == "no-fork" else 1)
+        _assert_no_child_left()
+
+    def test_interrupted_parent_kills_and_reaps_its_child(self, monkeypatch, forks):
+        class Interrupt(BaseException):
+            pass
+
+        parent = os.getpid()
+
+        def rows(cols, start, stop):
+            if os.getpid() != parent:
+                time.sleep(20)
+            raise Interrupt
+            yield
+
+        monkeypatch.setattr(fileio, "_csv_rows", rows)
+        start = time.perf_counter()
+        with pytest.raises(Interrupt):
+            csv_text(_large_table())
+        assert time.perf_counter() - start < 10  # killed, not waited for
+        assert len(forks) == 1
+        _assert_no_child_left()
