@@ -7,8 +7,8 @@ optical stream was produced live by this body's motion or replayed.
 """
 
 from .analysis import (AccuracyReport, EstimatorAccuracy, ExplorationSummary,
-                       ReachJudgment, accuracy, accuracy_from_timeline,
-                       exploration_summary, reach_judgment, timeline_table)
+                       ReachJudgment, accuracy, exploration_summary,
+                       reach_judgment, timeline_table)
 from .detector import (DetectionReport, DetectorConfig, detect,
                        VERDICT_INDETERMINATE, VERDICT_LIVE, VERDICT_SIMULATED)
 from .errors import (ConfigError, CrossArrayError, DegenerateGeometryError,
@@ -20,8 +20,7 @@ from .invariants import (DistanceEstimateSeries, SlopeEstimate,
                          estimate_all, estimate_distance_3d, optics_only_ratio,
                          project_and_estimate, slope_invariant)
 from .kinematics import (KinematicTrack, ScenePoint, TimeGrid,
-                         as_differentiated, differentiate, from_positions,
-                         resample)
+                         as_differentiated, differentiate, from_positions)
 from .observables import (InertialStream, OpticalStream, SupportStream,
                           constant_support, project_inertial, project_optics,
                           replay_optics, tilted_support)

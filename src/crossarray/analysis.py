@@ -13,17 +13,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .errors import ConfigError, GridAlignmentError
+from .errors import ConfigError
 from .invariants import DistanceEstimateSeries, SlopeEstimate
 from .kinematics import KinematicTrack
 from .observables import InertialStream, OpticalStream, require_same_grid
 
 DEFAULT_TOLERANCE = 0.05  # relative; reported in every output
 REACH_THRESHOLD = 0.6  # m; the reach section of every accuracy.json
-
-TIMELINE_COLUMNS = ("t", "px", "py", "pz", "v", "alpha", "q",
-                    "d_true", "d_1d", "d_3d", "d_tan",
-                    "valid_1d", "valid_3d", "valid_tan")
 
 
 @dataclass(frozen=True)
@@ -73,21 +69,15 @@ def _column_accuracy(values, valid, truth, tolerance) -> Optional[EstimatorAccur
     )
 
 
-def accuracy_from_columns(columns, truth, tolerance: float,
-                          scenario_id: str = "") -> AccuracyReport:
-    """Accuracy report from (values, validity) pairs against a truth series."""
-    if not (tolerance > 0):
-        raise ConfigError(f"tolerance must be > 0, got {tolerance}")
-    estimators = {name: _column_accuracy(values, valid, truth, tolerance)
-                  for name, (values, valid) in columns.items()}
-    return AccuracyReport(scenario_id=scenario_id, tolerance=tolerance,
-                          estimators=estimators)
-
-
 def accuracy(est: DistanceEstimateSeries, tolerance: float = DEFAULT_TOLERANCE,
              scenario_id: str = "") -> AccuracyReport:
     """Fraction of valid samples on which each estimator hit the truth."""
-    return accuracy_from_columns(est.by_name(), est.d_true, tolerance, scenario_id)
+    if not (tolerance > 0):
+        raise ConfigError(f"tolerance must be > 0, got {tolerance}")
+    estimators = {name: _column_accuracy(values, valid, est.d_true, tolerance)
+                  for name, (values, valid) in est.by_name().items()}
+    return AccuracyReport(scenario_id=scenario_id, tolerance=tolerance,
+                          estimators=estimators)
 
 
 @dataclass(frozen=True)
@@ -161,17 +151,6 @@ def slope_table(slope: SlopeEstimate) -> Dict[str, np.ndarray]:
         "dob_z": slope.direction_of_balance[:, 2],
         "degenerate": slope.degenerate,
     }
-
-
-def accuracy_from_timeline(table: Dict[str, np.ndarray], tolerance: float,
-                           scenario_id: str = "") -> AccuracyReport:
-    """Recompute the accuracy report from an exported timeline table."""
-    missing = [c for c in TIMELINE_COLUMNS if c not in table]
-    if missing:
-        raise GridAlignmentError(f"timeline table is missing columns {missing}")
-    columns = {name: (table[name], table[f"valid{name[1:]}"].astype(bool))
-               for name in ("d_1d", "d_3d", "d_tan")}
-    return accuracy_from_columns(columns, table["d_true"], tolerance, scenario_id)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .detector import (DetectionReport, DetectorConfig, detect,
                        report_to_json_dict)
 from .generators import ScenarioConfig, generate, make_playback
 from .invariants import (DistanceEstimateSeries, SlopeEstimate, estimate_all,
-                         project_and_estimate, slope_invariant)
+                         optics_only_ratio, project_and_estimate, slope_invariant)
 from .kinematics import (KinematicTrack, ScenePoint, TimeGrid, as_differentiated,
                          constant_acceleration_track, differentiate)
 from .observables import (InertialStream, OpticalStream, SupportStream,
@@ -247,9 +247,15 @@ def check_regime_collapse(runs: DemoRuns) -> CheckResult:
 
 
 def check_scale_ambiguity(runs: DemoRuns) -> CheckResult:
+    """Optical fields and the optics-only ratio stay put under rescaling,
+    the ratio is D/V (a time), and the cross-sense distances rescale."""
     base = runs.canonical["sway3d"]
+    ratio = optics_only_ratio(base.optics)
+    valid = base.est.valid_3d
+    d_over_v = base.est.d_true[valid] / base.inertial.speed[valid]
     worst_optics = 0.0
-    worst_scaling = 0.0
+    worst_scaling = float(np.max(np.abs(ratio[valid] - d_over_v) / d_over_v))
+    same_nan = True
     for k in (0.5, 2.0, 10.0):
         scaled = demo_scenarios()["sway3d"].scaled(k)
         optics_k, _, est_k = project_and_estimate(generate(scaled),
@@ -259,11 +265,14 @@ def check_scale_ambiguity(runs: DemoRuns) -> CheckResult:
             if np.all(np.isnan(a)) and np.all(np.isnan(b)):
                 continue  # theta_dot on non-planar motion: invalid either way
             worst_optics = max(worst_optics, float(np.nanmax(np.abs(a - b))))
-        for a, b in ((est_k.d_true, base.est.d_true), (est_k.d_3d, base.est.d_3d)):
+        ratio_k = optics_only_ratio(optics_k)
+        same_nan &= np.array_equal(np.isnan(ratio_k), np.isnan(ratio))
+        for a, want in ((est_k.d_true, k * base.est.d_true),
+                        (est_k.d_3d, k * base.est.d_3d), (ratio_k, ratio)):
             with np.errstate(invalid="ignore"):
-                rel = np.abs(a - k * b) / np.abs(k * b)
+                rel = np.abs(a - want) / np.abs(want)
             worst_scaling = max(worst_scaling, float(np.nanmax(rel)))
-    passed = worst_optics <= 1e-12 and worst_scaling <= 1e-12
+    passed = same_nan and worst_optics <= 1e-12 and worst_scaling <= 1e-12
     return CheckResult(
         "optics-scale-blindness", passed,
         f"optical fields move {worst_optics:.2e} under rescaling while "

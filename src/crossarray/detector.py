@@ -33,6 +33,9 @@ VERDICT_LIVE = "live"
 VERDICT_SIMULATED = "simulated"
 VERDICT_INDETERMINATE = "indeterminate"
 
+MIN_SAMPLES = 10      # a shorter stream is indeterminate
+MIN_WINDOW_VALID = 5  # valid samples a window needs for a spread
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -43,8 +46,6 @@ class DetectorConfig:
     scale_rel_std_max: float = 0.05  # windowed std/mean of recovered distance
     window_s: float = 0.5
     fire_fraction: float = 0.10      # fraction of samples a rule must claim
-    min_samples: int = 10
-    min_window_valid: int = 5
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,9 @@ def detect(optics: OpticalStream, inertial: InertialStream,
     valid = moving & resolvable & np.isfinite(d_3d)
     half_width = max(int(round(config.window_s * optics.grid.sample_rate / 2.0)), 1)
     residual_scale = kernels.windowed_rel_std(
-        np.where(valid, d_3d, 0.0), valid, half_width, config.min_window_valid)
+        np.where(valid, d_3d, 0.0), valid, half_width, MIN_WINDOW_VALID)
 
-    if n < config.min_samples:
+    if n < MIN_SAMPLES:
         return DetectionReport(VERDICT_INDETERMINATE, "", residual_flow,
                                residual_scale, 0.0, None, config)
 

@@ -89,13 +89,13 @@ def _usable_cpus() -> int:
 
 
 def _fork_row(n: int) -> int:
-    """The block boundary nearest the middle of an n-row table, where a
-    forked child takes over; 0 to render the table in this process."""
+    """The middle row of an n-row table, where a forked child takes
+    over; 0 to render the table in this process."""
     if (n < CSV_FORK_ROWS or not hasattr(os, "fork")
             # fork copies only the calling thread, whatever locks the others hold
             or threading.active_count() > 1 or _usable_cpus() < 2):
         return 0
-    return round(n / 2 / CSV_BLOCK_ROWS) * CSV_BLOCK_ROWS
+    return n // 2
 
 
 def _csv_rows_forked(cols, mid: int, n: int) -> list:
@@ -273,16 +273,6 @@ def json_text(payload: dict) -> str:
 
 def write_json(path, payload: dict) -> None:
     atomic_write_text(path, json_text(payload))
-
-
-def read_timeline_csv(path) -> Dict[str, np.ndarray]:
-    """Read a timeline CSV, restoring validity flags to booleans so a
-    re-export reproduces the original bytes."""
-    cols = read_csv_columns(path)
-    for name in list(cols):
-        if name.startswith("valid_"):
-            cols[name] = cols[name].astype(bool)
-    return cols
 
 
 # ---------------------------------------------------------------------------

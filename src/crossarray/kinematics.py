@@ -7,7 +7,7 @@ SI (meters, seconds, radians) throughout; no unit parameterization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,12 +98,6 @@ class KinematicTrack:
         if self.provenance not in (ANALYTIC, DIFFERENTIATED, INGESTED):
             raise InputShapeError(f"unknown provenance {self.provenance!r}")
 
-    def scaled(self, k: float) -> "KinematicTrack":
-        """Track with all lengths multiplied by ``k`` (same time grid)."""
-        return replace(self, position=self.position * k,
-                       velocity=self.velocity * k,
-                       acceleration=self.acceleration * k)
-
 
 def constant_acceleration_track(grid: TimeGrid, accel) -> KinematicTrack:
     """Track starting at rest at the origin under a constant acceleration."""
@@ -153,29 +147,3 @@ def as_differentiated(track: KinematicTrack) -> KinematicTrack:
     capture) instead of closed-form kinematics.
     """
     return from_positions(track.grid, track.position)
-
-
-def resample(track: KinematicTrack, new_rate: float) -> KinematicTrack:
-    """Resample a track onto a new rate by linear interpolation of position.
-
-    Velocity and acceleration are re-derived with :func:`differentiate`
-    (provenance becomes "differentiated"). The new grid never
-    extrapolates past the original final sample.
-    """
-    if not (new_rate > 0):
-        raise InputShapeError(f"new_rate must be > 0, got {new_rate}")
-    grid = track.grid
-    if grid.n_samples < 2:
-        raise InsufficientDataError("resampling needs at least 2 samples")
-    # largest grid at new_rate that stays within the original time span
-    span_ratio = (grid.n_samples - 1) * new_rate / grid.sample_rate
-    n_new = int(np.floor(span_ratio + 1e-9)) + 1
-    if n_new < 3:
-        raise InsufficientDataError(
-            f"resampling to {new_rate} Hz leaves only {n_new} samples")
-    new_grid = TimeGrid(sample_rate=new_rate, n_samples=n_new, t0=grid.t0)
-    t_old = grid.times()
-    t_new = new_grid.times()
-    position = np.column_stack([np.interp(t_new, t_old, track.position[:, j])
-                                for j in range(3)])
-    return from_positions(new_grid, position)

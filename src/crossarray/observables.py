@@ -20,7 +20,7 @@ planar trajectories, while ``q_norm`` covers full 3D motion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -48,8 +48,6 @@ class OpticalStream:
     alpha_dot: np.ndarray      # (n,) rad/s, finite-differenced from alpha
     theta_dot: np.ndarray      # (n,) rad/s signed, NaN unless motion is planar
     q_norm: np.ndarray         # (n,) rad/s, norm of bearing x d(bearing)/dt
-    is_planar: bool
-    plane_normal: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,6 @@ class InertialStream:
     velocity: np.ndarray         # (n, 3) m/s
     speed: np.ndarray            # (n,) m/s
     specific_force: np.ndarray   # (n, 3) m/s^2, gravity - acceleration
-    gravity: np.ndarray          # (3,) m/s^2
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,7 @@ def require_same_grid(*grids: TimeGrid) -> None:
 def _fit_plane(points: np.ndarray) -> Tuple[bool, np.ndarray]:
     """Least-squares plane through the points; planar iff the residual is tiny.
 
-    Returns (is_planar, unit normal). The normal sign is fixed so its
+    Returns (planar, unit normal). The normal sign is fixed so its
     largest-magnitude component is positive, which keeps the theta_dot
     sign convention deterministic.
     """
@@ -136,13 +133,12 @@ def project_optics(track: KinematicTrack, scene_object: ScenePoint) -> OpticalSt
         q_norm = np.linalg.norm(omega, axis=1)
 
     points = np.vstack([track.position, scene_object.position[None, :]])
-    is_planar, normal = _fit_plane(points)
-    theta_dot = omega @ normal if is_planar else np.full(track.grid.n_samples, np.nan)
+    planar, normal = _fit_plane(points)
+    theta_dot = omega @ normal if planar else np.full(track.grid.n_samples, np.nan)
     return OpticalStream(
         grid=track.grid, bearing=bearing, alpha=alpha,
         alpha_dot=differentiate(alpha, track.grid), theta_dot=theta_dot,
-        q_norm=q_norm, is_planar=is_planar,
-        plane_normal=normal if is_planar else None)
+        q_norm=q_norm)
 
 
 def project_inertial(track: KinematicTrack,
@@ -152,8 +148,7 @@ def project_inertial(track: KinematicTrack,
     speed = np.linalg.norm(track.velocity, axis=1)
     specific_force = gravity[None, :] - track.acceleration
     return InertialStream(grid=track.grid, velocity=track.velocity,
-                          speed=speed, specific_force=specific_force,
-                          gravity=gravity)
+                          speed=speed, specific_force=specific_force)
 
 
 def replay_optics(pair: PlaybackPair, scene_object: ScenePoint,

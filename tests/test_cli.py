@@ -1,13 +1,17 @@
 import json
 import os
 import stat
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from crossarray import fileio
 from crossarray.cli import main
-from crossarray.fileio import read_csv_columns, read_track_csv, write_csv
+from crossarray.detector import DetectorConfig
+from crossarray.fileio import (CONFIG_KEYS, RunConfig, read_csv_columns,
+                               read_track_csv, write_csv)
+from crossarray.generators import KIND_FIELDS
 from crossarray.observables import EPS_RATE
 
 SWAY_CFG = """\
@@ -326,6 +330,16 @@ class TestSlope:
 
 
 class TestConfigValues:
+    def test_every_config_field_is_set_by_a_key(self):
+        def keyed(destination):
+            return {attribute for _, destinations, attribute in CONFIG_KEYS.values()
+                    if destination in destinations}
+
+        assert not {f.name for f in fields(DetectorConfig)} - keyed("detector")
+        assert not ({f.name for f in fields(RunConfig)} - {"scenario", "detector"}
+                    - keyed("run"))
+        assert set().union(*KIND_FIELDS.values()) == keyed("scenario")
+
     @pytest.mark.parametrize("command, config, line", [
         ("slope", "duration_s = nan\n", 1),
         ("slope", "sample_rate_hz = inf\n", 1),

@@ -142,6 +142,7 @@ class TestForkedRender:
         assert csv_text(table) == _row_by_row(table)
         assert len(forks) == 1
         _assert_no_child_left()
+        assert fileio._fork_row(50_001) == 25_000  # the middle row, not a block edge
 
     @pytest.mark.parametrize("case", ["thread", "one-cpu", "small"])
     def test_serial_cases_do_not_fork(self, monkeypatch, forks, case):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crossarray import (InputShapeError, InsufficientDataError, KinematicTrack,
-                        TimeGrid, differentiate, generate, resample, ScenarioConfig)
+                        TimeGrid, differentiate)
 
 
 def grid(rate=100.0, n=201):
@@ -90,34 +90,3 @@ class TestDifferentiate:
     def test_too_few_samples_raises(self):
         with pytest.raises(InsufficientDataError):
             differentiate(np.zeros((2, 3)), TimeGrid(sample_rate=10.0, n_samples=2))
-
-
-class TestResample:
-    def test_identity_at_same_rate(self):
-        track = generate(ScenarioConfig(kind="sway3d", duration=2.0))
-        back = resample(track, track.grid.sample_rate)
-        assert back.grid.n_samples == track.grid.n_samples
-        assert np.max(np.abs(back.position - track.position)) < 1e-12
-
-    def test_downsample_keeps_endpoints(self):
-        track = generate(ScenarioConfig(kind="rectilinear", duration=2.0, speed=1.0))
-        half = resample(track, 50.0)
-        assert half.grid.n_samples == 101
-        assert np.array_equal(half.position[0], track.position[0])
-        assert np.array_equal(half.position[-1], track.position[-1])
-        assert half.provenance == "differentiated"
-
-    def test_upsampled_sway_matches_closed_form(self):
-        cfg = ScenarioConfig(kind="sway3d", duration=2.0,
-                             amplitude=(0.05, 0.03, 0.04),
-                             frequency=(0.5, 0.7, 0.3), phase=(0.0, 1.0, 2.0))
-        doubled = resample(generate(cfg), 200.0)
-        t = doubled.grid.times()
-        w = 2 * np.pi * np.asarray(cfg.frequency)
-        closed = np.asarray(cfg.amplitude) * np.sin(np.outer(t, w) + np.asarray(cfg.phase))
-        assert np.max(np.abs(doubled.position - closed)) < 1e-4
-
-    def test_rejects_bad_rate(self):
-        track = generate(ScenarioConfig(kind="rectilinear", duration=1.0))
-        with pytest.raises(InputShapeError):
-            resample(track, 0.0)
