@@ -6,9 +6,8 @@ invariants that specify object distance, ground slope, and whether an
 optical stream was produced live by this body's motion or replayed.
 """
 
-from .analysis import (AccuracyReport, EstimatorAccuracy, ExplorationSummary,
-                       ReachJudgment, accuracy, exploration_summary,
-                       reach_judgment, timeline_table)
+from .analysis import (AccuracyReport, EstimatorAccuracy, accuracy,
+                       exploration_summary, reach_judgment, timeline_table)
 from .detector import (DetectionReport, DetectorConfig, detect,
                        VERDICT_INDETERMINATE, VERDICT_LIVE, VERDICT_SIMULATED)
 from .errors import (ConfigError, CrossArrayError, DegenerateGeometryError,

@@ -8,7 +8,7 @@ next to them so the denominators stay auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -42,18 +42,9 @@ class AccuracyReport:
     estimators: Dict[str, Optional[EstimatorAccuracy]]
 
     def to_json_dict(self) -> dict:
-        out = {"scenario_id": self.scenario_id, "tolerance": self.tolerance,
-               "estimators": {}}
-        for name, acc in self.estimators.items():
-            if acc is None:
-                out["estimators"][name] = None
-            else:
-                out["estimators"][name] = {
-                    "valid_fraction": acc.valid_fraction,
-                    "accurate_fraction": acc.accurate_fraction,
-                    "mean_abs_relative_error": acc.mean_abs_relative_error,
-                }
-        return out
+        return {"scenario_id": self.scenario_id, "tolerance": self.tolerance,
+                "estimators": {name: None if acc is None else asdict(acc)
+                               for name, acc in self.estimators.items()}}
 
 
 def _column_accuracy(values, valid, truth, tolerance) -> Optional[EstimatorAccuracy]:
@@ -80,40 +71,21 @@ def accuracy(est: DistanceEstimateSeries, tolerance: float = DEFAULT_TOLERANCE,
                           estimators=estimators)
 
 
-@dataclass(frozen=True)
-class ReachJudgment:
-    """Within-reach verdicts per estimator; D <= threshold counts as reachable."""
-
-    reach_threshold: float
-    verdicts: Dict[str, np.ndarray]   # bool arrays, meaningful where valid
-    valid: Dict[str, np.ndarray]
-    truth_verdict: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        """Share of samples truly within reach, and each estimator's
-        agreement with that over its valid samples (None if it has none)."""
-        agreement = {}
-        for name, verdict in self.verdicts.items():
-            mask = self.valid[name]
-            agreement[name] = (
-                None if not mask.any() else
-                float(np.mean(verdict[mask] == self.truth_verdict[mask])))
-        return {"threshold_m": self.reach_threshold,
-                "truth_within_reach_fraction": float(np.mean(self.truth_verdict)),
-                "agreement_with_truth": agreement}
-
-
-def reach_judgment(est: DistanceEstimateSeries, threshold: float) -> ReachJudgment:
+def reach_judgment(est: DistanceEstimateSeries, threshold: float) -> dict:
+    """The ``reach`` section of accuracy.json; D <= threshold counts as
+    within reach. It holds the share of samples truly within reach, and
+    each estimator's agreement with that over its valid samples (None
+    if it has none)."""
     if not (threshold > 0):
         raise ConfigError(f"reach threshold must be > 0, got {threshold}")
-    verdicts = {}
-    valid = {}
+    truth = est.d_true <= threshold
+    agreement = {}
     for name, (values, mask) in est.by_name().items():
-        with np.errstate(invalid="ignore"):
-            verdicts[name] = np.where(mask, values <= threshold, False)
-        valid[name] = mask
-    return ReachJudgment(reach_threshold=threshold, verdicts=verdicts,
-                         valid=valid, truth_verdict=est.d_true <= threshold)
+        agreement[name] = (None if not mask.any() else
+                           float(np.mean((values[mask] <= threshold) == truth[mask])))
+    return {"threshold_m": threshold,
+            "truth_within_reach_fraction": float(np.mean(truth)),
+            "agreement_with_truth": agreement}
 
 
 def timeline_table(est: DistanceEstimateSeries, optics: OpticalStream,
@@ -153,33 +125,15 @@ def slope_table(slope: SlopeEstimate) -> Dict[str, np.ndarray]:
     }
 
 
-@dataclass(frozen=True)
-class ExplorationSummary:
-    """Movement descriptors that covary with how much information motion makes."""
-
-    amplitude: np.ndarray   # (3,) peak-to-peak excursion per axis, m
-    mean_speed: float
-    max_speed: float
-    mean_accel: float
-    max_accel: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "amplitude_m": list(self.amplitude),
-            "mean_speed_mps": self.mean_speed,
-            "max_speed_mps": self.max_speed,
-            "mean_accel_mps2": self.mean_accel,
-            "max_accel_mps2": self.max_accel,
-        }
-
-
-def exploration_summary(track: KinematicTrack) -> ExplorationSummary:
+def exploration_summary(track: KinematicTrack) -> dict:
+    """The ``exploration`` section of accuracy.json: movement descriptors
+    that covary with how much information motion makes."""
     speed = np.linalg.norm(track.velocity, axis=1)
     accel = np.linalg.norm(track.acceleration, axis=1)
-    return ExplorationSummary(
-        amplitude=track.position.max(axis=0) - track.position.min(axis=0),
-        mean_speed=float(speed.mean()),
-        max_speed=float(speed.max()),
-        mean_accel=float(accel.mean()),
-        max_accel=float(accel.max()),
-    )
+    return {
+        "amplitude_m": (track.position.max(axis=0) - track.position.min(axis=0)).tolist(),
+        "mean_speed_mps": float(speed.mean()),
+        "max_speed_mps": float(speed.max()),
+        "mean_accel_mps2": float(accel.mean()),
+        "max_accel_mps2": float(accel.max()),
+    }

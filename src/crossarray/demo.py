@@ -41,6 +41,7 @@ from .observables import (InertialStream, OpticalStream, SupportStream,
 
 ANALYTIC_REL_TOL = 1e-6
 SUITE_SIZE = 10
+SUITE_SEED = 1000  # scenario i of the sway suite is seeded SUITE_SEED + i
 SLOPE_GRID = TimeGrid(sample_rate=100.0, n_samples=101)
 SLOPE_ACCEL = np.array([2.0, 0.0, 0.0])  # the accelerating case; also slope.csv
 
@@ -74,11 +75,11 @@ def demo_scenarios() -> Dict[str, ScenarioConfig]:
     }
 
 
-def sway3d_suite(count: int = SUITE_SIZE, base_seed: int = 1000) -> List[ScenarioConfig]:
+def sway3d_suite() -> List[ScenarioConfig]:
     """Seeded family of 3D sway scenarios with randomized parameters."""
     configs = []
-    for i in range(count):
-        rng = np.random.default_rng(base_seed + i)
+    for i in range(SUITE_SIZE):
+        rng = np.random.default_rng(SUITE_SEED + i)
         amplitude = rng.uniform(0.02, 0.08, 3)
         frequency = rng.uniform(0.3, 1.2, 3)
         phase = rng.uniform(0.0, 2.0 * np.pi, 3)
@@ -89,7 +90,7 @@ def sway3d_suite(count: int = SUITE_SIZE, base_seed: int = 1000) -> List[Scenari
         configs.append(ScenarioConfig(
             kind="sway3d", duration=4.0, sample_rate=100.0,
             amplitude=amplitude, frequency=frequency, phase=phase,
-            object_position=obj, rng_seed=base_seed + i))
+            object_position=obj, rng_seed=SUITE_SEED + i))
     return configs
 
 
@@ -139,8 +140,8 @@ class ScenarioRun:
     def analysis_texts(self) -> Dict[str, str]:
         """``timeline.csv`` and ``accuracy.json``, rendered, by file name."""
         payload = self.report.to_json_dict()
-        payload["exploration"] = exploration_summary(self.track).to_json_dict()
-        payload["reach"] = reach_judgment(self.est, REACH_THRESHOLD).to_json_dict()
+        payload["exploration"] = exploration_summary(self.track)
+        payload["reach"] = reach_judgment(self.est, REACH_THRESHOLD)
         table = timeline_table(self.est, self.optics, self.inertial, self.track)
         return {"timeline.csv": fileio.csv_text(table),
                 "accuracy.json": fileio.json_text(payload)}

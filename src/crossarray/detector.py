@@ -20,7 +20,7 @@ reserved for streams too short or too empty to decide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -110,12 +110,7 @@ def report_to_json_dict(report: DetectionReport) -> dict:
         "rule_fired": report.rule_fired,
         "flow_fire_fraction": report.flow_fire_fraction,
         "scale_fire_fraction": report.scale_fire_fraction,
-        "thresholds": {
-            "flow_q_max": report.config.flow_q_max,
-            "scale_rel_std_max": report.config.scale_rel_std_max,
-            "window_s": report.config.window_s,
-            "fire_fraction": report.config.fire_fraction,
-        },
+        "thresholds": asdict(report.config),
         "residual_flow": series(report.residual_flow),
         "residual_scale": series(report.residual_scale),
     }

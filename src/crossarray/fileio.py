@@ -35,7 +35,8 @@ from .analysis import DEFAULT_TOLERANCE
 from .detector import DetectorConfig
 from .errors import ConfigError, InputShapeError
 from .generators import CUSTOM_SAMPLES, KIND_FIELDS, KINDS, ScenarioConfig
-from .kinematics import INGESTED, KinematicTrack, TimeGrid
+from .kinematics import KinematicTrack, TimeGrid
+from .observables import DEFAULT_GRAVITY
 
 TRACK_HEADER = ["t", "px", "py", "pz", "vx", "vy", "vz", "ax", "ay", "az"]
 CSV_BLOCK_ROWS = 4096
@@ -264,7 +265,7 @@ def read_track_csv(path) -> KinematicTrack:
     grid = _infer_grid(cols["t"], path)
     stack = lambda prefix: np.column_stack([cols[prefix + axis] for axis in "xyz"])
     return KinematicTrack(grid=grid, position=stack("p"), velocity=stack("v"),
-                          acceleration=stack("a"), provenance=INGESTED)
+                          acceleration=stack("a"), analytic=False)
 
 
 def json_text(payload: dict) -> str:
@@ -299,7 +300,6 @@ CONFIG_KEYS = {  # key: (type, destinations, attribute)
     "noise_sigma_m": (_FLOAT, _SCENARIO, "noise_sigma"),
     "rng_seed": (_INT, _SCENARIO, "rng_seed"),
     "object_m": (_VEC3, _SCENARIO, "object_position"),
-    "object_label": (_STR, _SCENARIO, "object_label"),
     "tolerance_rel": (_FLOAT, _RUN, "tolerance"),
     "flow_q_max_radps": (_FLOAT, _DETECTOR, "flow_q_max"),
     "scale_rel_std_max": (_FLOAT, _DETECTOR, "scale_rel_std_max"),
@@ -373,7 +373,7 @@ class RunConfig:
     scenario: Optional[ScenarioConfig]
     tolerance: float = DEFAULT_TOLERANCE
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
+    gravity: np.ndarray = field(default_factory=DEFAULT_GRAVITY.copy)
     support_normal: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     support_tilt_rad: float = 0.0
     accel: Optional[np.ndarray] = None

@@ -19,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .kinematics import (ANALYTIC, INGESTED, KinematicTrack, ScenePoint,
-                         TimeGrid, from_positions)
+from .kinematics import KinematicTrack, ScenePoint, TimeGrid, from_positions
 
 RECTILINEAR = "rectilinear"
 PLANAR_SWAY = "planar_sway"
@@ -31,7 +30,7 @@ CUSTOM_SAMPLES = "custom_samples"
 KINDS = (RECTILINEAR, PLANAR_SWAY, SWAY3D, TANGENTIAL_ORBIT, CUSTOM_SAMPLES)
 
 # the ScenarioConfig fields that ``generate`` reads for each kind
-_SHARED = ("kind", "duration", "sample_rate", "object_position", "object_label")
+_SHARED = ("kind", "duration", "sample_rate", "object_position")
 _NOISE = ("noise_sigma", "rng_seed")
 _SWAY = ("start", "amplitude", "frequency", "phase")  # start is the sway center
 KIND_FIELDS = {
@@ -57,7 +56,6 @@ class ScenarioConfig:
     duration: float = 2.0
     sample_rate: float = 100.0
     object_position: np.ndarray = field(default_factory=lambda: np.array([2.0, 0.0, 0.0]))
-    object_label: str = "object"
     start: np.ndarray = field(default_factory=lambda: np.zeros(3))
     direction: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
     speed: float = 1.0
@@ -104,7 +102,7 @@ class ScenarioConfig:
 
     @property
     def scene_object(self) -> ScenePoint:
-        return ScenePoint(position=self.object_position, label=self.object_label)
+        return ScenePoint(position=self.object_position)
 
     def scaled(self, k: float) -> "ScenarioConfig":
         """Config with every length multiplied by ``k`` (same timing)."""
@@ -149,10 +147,9 @@ def _sway_positions(cfg: ScenarioConfig, t: np.ndarray, planar: bool):
 def generate(cfg: ScenarioConfig) -> KinematicTrack:
     """Synthesize the track described by ``cfg``.
 
-    Noise-free tracks carry closed-form velocity/acceleration
-    (provenance "analytic"); with ``noise_sigma > 0`` iid Gaussian noise
-    is added to position and the derivatives are finite-differenced
-    (provenance "differentiated").
+    Noise-free tracks carry closed-form velocity/acceleration; with
+    ``noise_sigma > 0`` iid Gaussian noise is added to position and the
+    derivatives are finite-differenced (``analytic`` False).
     """
     grid = cfg.grid
     t = grid.times()
@@ -188,7 +185,7 @@ def generate(cfg: ScenarioConfig) -> KinematicTrack:
             raise ConfigError(
                 f"samples shape {cfg.samples.shape} does not match grid "
                 f"({grid.n_samples}, 3)")
-        return from_positions(grid, cfg.samples, provenance=INGESTED)
+        return from_positions(grid, cfg.samples)
     else:  # pragma: no cover - guarded in __post_init__
         raise ConfigError(f"unknown scenario kind {cfg.kind!r}")
 
@@ -196,8 +193,7 @@ def generate(cfg: ScenarioConfig) -> KinematicTrack:
         rng = np.random.default_rng(cfg.rng_seed)
         pos = pos + rng.normal(0.0, cfg.noise_sigma, size=pos.shape)
         return from_positions(grid, pos)
-    return KinematicTrack(grid=grid, position=pos, velocity=vel,
-                          acceleration=acc, provenance=ANALYTIC)
+    return KinematicTrack(grid=grid, position=pos, velocity=vel, acceleration=acc)
 
 
 def make_playback(live: KinematicTrack, hold_position: np.ndarray) -> PlaybackPair:
@@ -209,6 +205,5 @@ def make_playback(live: KinematicTrack, hold_position: np.ndarray) -> PlaybackPa
         position=np.tile(hold, (n, 1)),
         velocity=np.zeros((n, 3)),
         acceleration=np.zeros((n, 3)),
-        provenance=ANALYTIC,
     )
     return PlaybackPair(live=live, stationary=stationary)

@@ -40,9 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import KinematicTrack, ScenePoint, TimeGrid
-from .observables import (DEFAULT_GRAVITY, EPS_RATE, EPS_SPEED, InertialStream,
-                          OpticalStream, SupportStream, project_inertial,
-                          project_optics, require_same_grid)
+from .observables import (EPS_RATE, EPS_SPEED, InertialStream, OpticalStream,
+                          SupportStream, project_inertial, project_optics,
+                          require_same_grid)
 
 EPS_FORCE = 1e-6  # m/s^2; below this the specific force has no direction
 
@@ -61,7 +61,6 @@ class DistanceEstimateSeries:
     valid_3d: np.ndarray
     valid_tan: np.ndarray
     d_true: np.ndarray
-    scene_object: ScenePoint
 
     def by_name(self):
         """(value, validity) pairs keyed by estimator column name."""
@@ -148,14 +147,13 @@ def estimate_all(optics: OpticalStream, inertial: InertialStream,
         d_3d=estimate_distance_3d(optics, inertial), d_tan=d_tan,
         valid_1d=validity["d_1d"], valid_2d=validity["d_2d"],
         valid_3d=validity["d_3d"], valid_tan=validity["d_tan"],
-        d_true=d_true, scene_object=scene_object)
+        d_true=d_true)
 
 
-def project_and_estimate(track: KinematicTrack, scene_object: ScenePoint,
-                         gravity: np.ndarray = DEFAULT_GRAVITY):
+def project_and_estimate(track: KinematicTrack, scene_object: ScenePoint):
     """Full pipeline for one scenario: (optics, inertial, estimates)."""
     optics = project_optics(track, scene_object)
-    inertial = project_inertial(track, gravity)
+    inertial = project_inertial(track)
     return optics, inertial, estimate_all(optics, inertial, track, scene_object)
 
 

@@ -52,7 +52,6 @@ class ScenePoint:
     """A fixed point in the scene whose distance is to be recovered."""
 
     position: np.ndarray
-    label: str = "object"
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=np.float64).reshape(3)
@@ -61,27 +60,20 @@ class ScenePoint:
         object.__setattr__(self, "position", pos)
 
 
-# provenance values for KinematicTrack
-ANALYTIC = "analytic"
-DIFFERENTIATED = "differentiated"
-INGESTED = "ingested"
-
-
 @dataclass(frozen=True)
 class KinematicTrack:
     """Trajectory of the moving point of observation.
 
-    ``provenance`` records where the derivative series came from:
-    "analytic" for closed-form velocity/acceleration, "differentiated"
-    when they were finite-differenced from position, "ingested" for
-    externally supplied series.
+    ``analytic`` is True when velocity and acceleration are closed-form,
+    False when they were finite-differenced from position or read from
+    a file.
     """
 
     grid: TimeGrid
     position: np.ndarray
     velocity: np.ndarray
     acceleration: np.ndarray
-    provenance: str = ANALYTIC
+    analytic: bool = True
 
     def __post_init__(self):
         for name in ("position", "velocity", "acceleration"):
@@ -95,8 +87,6 @@ class KinematicTrack:
                 raise InputShapeError(
                     f"{name} must be finite; sample {k} is {arr[k].tolist()}")
             object.__setattr__(self, name, arr)
-        if self.provenance not in (ANALYTIC, DIFFERENTIATED, INGESTED):
-            raise InputShapeError(f"unknown provenance {self.provenance!r}")
 
 
 def constant_acceleration_track(grid: TimeGrid, accel) -> KinematicTrack:
@@ -130,14 +120,13 @@ def differentiate(series: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return kernels.diff_central(arr, grid.dt)
 
 
-def from_positions(grid: TimeGrid, position: np.ndarray,
-                   provenance: str = DIFFERENTIATED) -> KinematicTrack:
+def from_positions(grid: TimeGrid, position: np.ndarray) -> KinematicTrack:
     """Build a track from positions alone, finite-differencing the rest."""
     position = np.asarray(position, dtype=np.float64)
     velocity = differentiate(position, grid)
     acceleration = differentiate(velocity, grid)
     return KinematicTrack(grid=grid, position=position, velocity=velocity,
-                          acceleration=acceleration, provenance=provenance)
+                          acceleration=acceleration, analytic=False)
 
 
 def as_differentiated(track: KinematicTrack) -> KinematicTrack:

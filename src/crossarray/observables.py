@@ -8,7 +8,7 @@ A trajectory projects into three independent streams:
   rate ``theta_dot`` and the 3D rotation norm ``q_norm``. All of these
   are invariant under uniform scaling of the scene.
 - :class:`InertialStream` — what the moving body measures about itself:
-  velocity, speed and the specific force (gravity minus acceleration).
+  its speed and the specific force (gravity minus acceleration).
 - :class:`SupportStream` — the contact normal of the surface of support.
 
 Angular conventions: the bearing unit vector points from the object
@@ -27,8 +27,7 @@ import numpy as np
 from . import kernels
 from .errors import DegenerateGeometryError, GridAlignmentError, InputShapeError
 from .generators import PlaybackPair
-from .kinematics import (ANALYTIC, KinematicTrack, ScenePoint, TimeGrid,
-                         differentiate)
+from .kinematics import KinematicTrack, ScenePoint, TimeGrid, differentiate
 
 # validity thresholds, fixed; invariants.motion_masks applies them
 EPS_SPEED = 1e-6     # m/s at or below which the heading (and alpha) is undefined
@@ -55,7 +54,6 @@ class InertialStream:
     """Non-optical kinematics of the moving body."""
 
     grid: TimeGrid
-    velocity: np.ndarray         # (n, 3) m/s
     speed: np.ndarray            # (n,) m/s
     specific_force: np.ndarray   # (n, 3) m/s^2, gravity - acceleration
 
@@ -121,13 +119,12 @@ def project_optics(track: KinematicTrack, scene_object: ScenePoint) -> OpticalSt
     dist_sq = np.einsum("ij,ij->i", rel, rel)
     if np.any(dist_sq <= MIN_SEPARATION ** 2):
         raise DegenerateGeometryError(
-            f"object {scene_object.label!r} coincides with the trajectory "
+            f"object at {scene_object.position.tolist()} coincides with the trajectory "
             f"(min separation {np.sqrt(dist_sq.min()):.3g} m)")
 
-    analytic = track.provenance == ANALYTIC
     bearing, alpha, omega, q_norm = kernels.bearing_kinematics(
-        rel, track.velocity, EPS_SPEED, chain_rule=analytic)
-    if not analytic:
+        rel, track.velocity, EPS_SPEED, chain_rule=track.analytic)
+    if not track.analytic:
         didt = differentiate(bearing, track.grid)
         omega = np.cross(bearing, didt)
         q_norm = np.linalg.norm(omega, axis=1)
@@ -147,12 +144,11 @@ def project_inertial(track: KinematicTrack,
     gravity = np.asarray(gravity, dtype=np.float64).reshape(3)
     speed = np.linalg.norm(track.velocity, axis=1)
     specific_force = gravity[None, :] - track.acceleration
-    return InertialStream(grid=track.grid, velocity=track.velocity,
-                          speed=speed, specific_force=specific_force)
+    return InertialStream(grid=track.grid, speed=speed, specific_force=specific_force)
 
 
-def replay_optics(pair: PlaybackPair, scene_object: ScenePoint,
-                  gravity: np.ndarray = DEFAULT_GRAVITY) -> Tuple[OpticalStream, InertialStream]:
+def replay_optics(pair: PlaybackPair,
+                  scene_object: ScenePoint) -> Tuple[OpticalStream, InertialStream]:
     """Observable streams of a body watching a replay of recorded motion.
 
     Optics come from the recorded (live) track; inertial quantities come
@@ -160,7 +156,7 @@ def replay_optics(pair: PlaybackPair, scene_object: ScenePoint,
     destroys the cross-sense distance parameter.
     """
     optics = project_optics(pair.live, scene_object)
-    inertial = project_inertial(pair.stationary, gravity=gravity)
+    inertial = project_inertial(pair.stationary)
     return optics, inertial
 
 
@@ -173,11 +169,6 @@ def constant_support(grid: TimeGrid, normal=(0.0, 0.0, 1.0)) -> SupportStream:
     return SupportStream(grid=grid, normal=np.tile(n / length, (grid.n_samples, 1)))
 
 
-def tilted_support(grid: TimeGrid, tilt_rad: float, axis=(0.0, 1.0, 0.0)) -> SupportStream:
-    """Level support normal tilted by ``tilt_rad`` about ``axis`` (Rodrigues)."""
-    k = np.asarray(axis, dtype=np.float64).reshape(3)
-    k = k / np.linalg.norm(k)
-    v = np.array([0.0, 0.0, 1.0])
-    c, s = np.cos(tilt_rad), np.sin(tilt_rad)
-    rotated = v * c + np.cross(k, v) * s + k * np.dot(k, v) * (1.0 - c)
-    return constant_support(grid, rotated)
+def tilted_support(grid: TimeGrid, tilt_rad: float) -> SupportStream:
+    """Level support normal (0, 0, 1) tilted by ``tilt_rad`` about the y axis."""
+    return constant_support(grid, (np.sin(tilt_rad), 0.0, np.cos(tilt_rad)))

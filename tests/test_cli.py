@@ -84,6 +84,12 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "speeed_mps" in err and ":2" in err
 
+    def test_object_label_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SWAY_CFG + "object_label = cup\n")
+        assert main(["generate", "--config", str(cfg)]) == 1
+        assert "unknown key 'object_label'" in capsys.readouterr().err
+
     def test_missing_file_is_a_config_error(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "nope.cfg")]) == 1
 
@@ -117,7 +123,7 @@ class TestAnalyze:
             kind="sway3d", duration=4.0, sample_rate=100.0,
             amplitude=(0.05, 0.03, 0.04), frequency=(0.5, 0.7, 0.3),
             phase=(0.0, 1.0, 2.0), object_position=(2.0, 0.0, 0.0))
-        in_memory = replace(generate(cfg), provenance="ingested")
+        in_memory = replace(generate(cfg), analytic=False)
         loaded = read_track_csv(track_path)
         assert loaded.grid.matches(in_memory.grid)
         _, _, est_mem = project_and_estimate(in_memory, cfg.scene_object)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from crossarray import (ConfigError, ScenarioConfig, generate, make_playback,
-                        project_optics, project_inertial)
+from crossarray import (ConfigError, ScenarioConfig, differentiate, generate,
+                        make_playback, project_optics, project_inertial)
 from crossarray.fileio import write_track_csv
 
 
@@ -15,7 +15,7 @@ class TestRectilinear:
         assert np.allclose(track.position[-1], [2.0, 0.0, 0.0], atol=1e-12)
         assert np.all(track.velocity == [1.0, 0.0, 0.0])
         assert np.all(track.acceleration == 0.0)
-        assert track.provenance == "analytic"
+        assert track.analytic
 
 
 class TestOrbit:
@@ -78,7 +78,8 @@ class TestScaleFamily:
 class TestNoise:
     def test_noise_switches_to_differentiated_provenance(self):
         track = generate(ScenarioConfig(kind="sway3d", noise_sigma=1e-3, rng_seed=5))
-        assert track.provenance == "differentiated"
+        assert not track.analytic
+        assert np.array_equal(track.velocity, differentiate(track.position, track.grid))
 
     def test_noise_perturbs_position_at_sigma_scale(self):
         clean = generate(ScenarioConfig(kind="sway3d", rng_seed=5))
@@ -108,7 +109,7 @@ class TestCustomSamples:
         cfg = ScenarioConfig(kind="custom_samples", duration=1.0,
                              samples=base.position)
         track = generate(cfg)
-        assert track.provenance == "ingested"
+        assert not track.analytic
         assert np.array_equal(track.position, base.position)
 
     def test_missing_samples_rejected(self):

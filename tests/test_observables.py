@@ -189,7 +189,7 @@ class TestValidityAndErrors:
     def test_object_on_trajectory_is_degenerate(self):
         cfg = ScenarioConfig(kind="rectilinear", duration=2.0,
                              object_position=(1.0, 0.0, 0.0))
-        with pytest.raises(DegenerateGeometryError):
+        with pytest.raises(DegenerateGeometryError, match=r"object at \[1\.0, 0\.0, 0\.0\]"):
             project_optics(generate(cfg), cfg.scene_object)
 
     def test_speed_below_threshold_invalidates_alpha(self):
