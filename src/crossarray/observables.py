@@ -126,7 +126,7 @@ def project_optics(track: KinematicTrack, scene_object: ScenePoint) -> OpticalSt
         rel, track.velocity, EPS_SPEED, chain_rule=track.analytic)
     if not track.analytic:
         didt = differentiate(bearing, track.grid)
-        omega = np.cross(bearing, didt)
+        omega = kernels.cross(bearing, didt)
         q_norm = np.linalg.norm(omega, axis=1)
 
     points = np.vstack([track.position, scene_object.position[None, :]])

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossarray import (ScenarioConfig, constant_support, estimate_all,
@@ -64,6 +65,15 @@ class TestModel3D:
             rel = (np.abs(est.d_3d[est.valid_3d] - est.d_true[est.valid_3d])
                    / est.d_true[est.valid_3d])
             assert np.max(rel) < 1e-6, name
+
+    @pytest.mark.parametrize("start", [(0.0, 0.0, 0.0), (4.0, 0.0, 0.0)],
+                             ids=["alpha-near-0", "alpha-near-pi"])
+    def test_exact_when_heading_passes_20_microns_from_the_object(self, start):
+        cfg = ScenarioConfig(kind="rectilinear", duration=2.0, sample_rate=100.0,
+                             start=start, object_position=(3.0, 0.0, 2e-5))
+        _, _, _, est = pipeline(cfg)
+        assert est.valid_3d.all()
+        assert np.max(np.abs(est.d_3d - est.d_true) / est.d_true) < 1e-6
 
     def test_orbit_distance_is_the_radius(self, orbit_cfg):
         _, _, _, est = pipeline(orbit_cfg)
