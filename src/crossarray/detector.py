@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
+from .errors import ConfigError
 from .invariants import estimate_distance_3d, motion_masks
 from .observables import InertialStream, OpticalStream, require_same_grid
 
@@ -46,6 +47,15 @@ class DetectorConfig:
     scale_rel_std_max: float = 0.05  # windowed std/mean of recovered distance
     window_s: float = 0.5
     fire_fraction: float = 0.10      # fraction of samples a rule must claim
+
+    def __post_init__(self):
+        for name, ok, bound in (
+                ("flow_q_max", self.flow_q_max >= 0, ">= 0"),
+                ("scale_rel_std_max", self.scale_rel_std_max >= 0, ">= 0"),
+                ("window_s", self.window_s > 0, "> 0"),
+                ("fire_fraction", 0 < self.fire_fraction <= 1, "in (0, 1]")):
+            if not ok:
+                raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,9 @@ def detect(optics: OpticalStream, inertial: InertialStream,
 
     d_3d = estimate_distance_3d(optics, inertial)
     valid = moving & resolvable & np.isfinite(d_3d)
-    half_width = max(int(round(config.window_s * optics.grid.sample_rate / 2.0)), 1)
+    # a window wider than the stream covers all of it from every sample
+    half_width = min(config.window_s * optics.grid.sample_rate / 2.0, n)
+    half_width = max(int(round(half_width)), 1)
     residual_scale = kernels.windowed_rel_std(
         np.where(valid, d_3d, 0.0), valid, half_width, MIN_WINDOW_VALID)
 

@@ -381,6 +381,12 @@ class RunConfig:
     sample_rate: float = 100.0  # ``grid`` of a run without a scenario
     duration: float = 2.0
 
+    def __post_init__(self):
+        if not self.duration > 0:
+            raise ConfigError(f"duration must be > 0, got {self.duration}")
+        if not self.sample_rate > 0:
+            raise ConfigError(f"sample_rate must be > 0, got {self.sample_rate}")
+
     @property
     def grid(self) -> TimeGrid:
         return TimeGrid(sample_rate=self.sample_rate,

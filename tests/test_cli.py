@@ -388,6 +388,37 @@ class TestConfigValues:
         assert all(f"'{key}'" in err for key in keys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, config, name", [
+        ("detect", SWAY_CFG + "fire_fraction = 0\n", "fire_fraction"),
+        ("detect", SWAY_CFG + "fire_fraction = 2\n", "fire_fraction"),
+        ("detect", SWAY_CFG + "scale_rel_std_max = -1\n", "scale_rel_std_max"),
+        ("detect --playback", SWAY_CFG + "flow_q_max_radps = -1e-3\n", "flow_q_max"),
+        ("detect", SWAY_CFG + "window_s = 0\n", "window_s"),
+        ("slope", "duration_s = -1\n", "duration"),
+        ("slope", "sample_rate_hz = 0\n", "sample_rate"),
+    ], ids=["no-fire-fraction", "fire-fraction-above-1", "negative-spread",
+            "negative-flow", "zero-window", "negative-duration", "zero-rate"])
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys,
+                                                  command, config, name):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {name} must be ")
+        assert not out.exists()
+
+    def test_window_wider_than_the_stream_spans_all_of_it(self, tmp_path):
+        reports = []
+        for window_s in ("1e300", "8"):
+            cfg = tmp_path / f"w{window_s}.cfg"
+            cfg.write_text(SWAY_CFG + f"window_s = {window_s}\n")
+            out = tmp_path / f"w{window_s}.json"
+            assert main(["detect", "--config", str(cfg), "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        huge, whole = reports
+        assert huge["residual_scale"] == whole["residual_scale"]
+        assert len(set(huge["residual_scale"])) == 1  # one window, seen from anywhere
+
     def test_normal_with_zero_tilt_is_accepted(self, tmp_path):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("support_normal = 1,0,1\nsupport_tilt_rad = 0\n")
