@@ -35,7 +35,7 @@ from .analysis import DEFAULT_TOLERANCE
 from .detector import DetectorConfig
 from .errors import ConfigError, InputShapeError
 from .generators import CUSTOM_SAMPLES, KIND_FIELDS, KINDS, ScenarioConfig
-from .kinematics import KinematicTrack, TimeGrid
+from .kinematics import MIN_TRACK_SAMPLES, KinematicTrack, TimeGrid
 from .observables import DEFAULT_GRAVITY
 
 TRACK_HEADER = ["t", "px", "py", "pz", "vx", "vy", "vz", "ax", "ay", "az"]
@@ -240,8 +240,8 @@ def write_track_csv(path, track: KinematicTrack) -> None:
 
 def _infer_grid(t: np.ndarray, path) -> TimeGrid:
     n = len(t)
-    if n < 2:
-        raise ConfigError(f"{path}: a track needs at least 2 samples")
+    if n < MIN_TRACK_SAMPLES:  # every track's optics are differentiated
+        raise ConfigError(f"{path}: a track needs at least {MIN_TRACK_SAMPLES} samples")
     if not np.all(np.isfinite(t)):
         raise ConfigError(f"{path}: time column must be finite")
     span = t[-1] - t[0]

@@ -14,6 +14,8 @@ import numpy as np
 from .errors import InputShapeError, InsufficientDataError
 from . import kernels
 
+MIN_TRACK_SAMPLES = 3  # the fewest samples ``differentiate`` takes
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -109,14 +111,15 @@ def differentiate(series: np.ndarray, grid: TimeGrid) -> np.ndarray:
     Parameters
     ----------
     series : (n,) or (n, m) array sampled on ``grid``
-    grid : TimeGrid with ``n_samples == n`` and ``n >= 3``
+    grid : TimeGrid with ``n_samples == n`` and ``n >= MIN_TRACK_SAMPLES``
     """
     arr = np.asarray(series, dtype=np.float64)
     if arr.shape[0] != grid.n_samples:
         raise InputShapeError(
             f"series length {arr.shape[0]} does not match grid ({grid.n_samples} samples)")
-    if grid.n_samples < 3:
-        raise InsufficientDataError("differentiation needs at least 3 samples")
+    if grid.n_samples < MIN_TRACK_SAMPLES:
+        raise InsufficientDataError(
+            f"differentiation needs at least {MIN_TRACK_SAMPLES} samples")
     return kernels.diff_central(arr, grid.dt)
 
 

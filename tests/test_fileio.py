@@ -48,11 +48,15 @@ class TestErrors:
             assert str(exc.value) == f"{path}{message}"
 
     def test_header_only_track_needs_two_samples(self, tmp_path):
-        path = _write(tmp_path, "t,px,py,pz,vx,vy,vz,ax,ay,az\n")
+        header = "t,px,py,pz,vx,vy,vz,ax,ay,az\n"
+        path = _write(tmp_path, header)
         assert all(len(col) == 0 for col in read_csv_columns(path).values())
-        with pytest.raises(ConfigError) as exc:
-            read_track_csv(path)
-        assert str(exc.value) == f"{path}: a track needs at least 2 samples"
+        two_rows = _write(tmp_path, header + "0,0,0,0,1,0,0,0,0,0\n"
+                          "0.01,0.01,0,0,1,0,0,0,0,0\n", "two.csv")
+        for short in (path, two_rows):
+            with pytest.raises(ConfigError) as exc:
+                read_track_csv(short)
+            assert str(exc.value) == f"{short}: a track needs at least 3 samples"
 
 
 class TestAccepted:
