@@ -25,8 +25,9 @@ def diff_central(y: np.ndarray, dt: float) -> np.ndarray:
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of (n, 3) arrays; the same values as
-    ``np.cross``, in about a third of its time."""
+    """Row-wise cross product of (n, 3) arrays: the values of
+    ``np.cross``, whose axis handling costs more than the products
+    (three times the time at 40,001 rows, numpy 2.4)."""
     ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
     bx, by, bz = b[:, 0], b[:, 1], b[:, 2]
     return np.column_stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])

@@ -31,6 +31,12 @@ def random_inputs():
     }
 
 
+class TestCross:
+    def test_matches_numpy_bit_for_bit(self, random_inputs):
+        rel, vel = random_inputs["rel"], random_inputs["vel"]
+        assert np.array_equal(kernels.cross(rel, vel), np.cross(rel, vel))
+
+
 class TestWindowedSemantics:
     def test_matches_naive_oracle(self, random_inputs):
         x, valid = random_inputs["x"], random_inputs["valid"]
