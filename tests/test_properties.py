@@ -3,6 +3,7 @@ pipeline on every motion kind, and bit-exact JSON round trips."""
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -22,14 +23,12 @@ def scenario(kind: str, sigma: float, seed: int) -> ScenarioConfig:
     noise ``sigma``; custom samples are a noisy sway3d recording."""
     if kind == CUSTOM_SAMPLES:
         sway = demo_scenarios()[SWAY3D]
-        recorded = generate(ScenarioConfig(**{**vars(sway), "noise_sigma": sigma,
-                                              "rng_seed": seed}))
+        recorded = generate(replace(sway, noise_sigma=sigma, rng_seed=seed))
         return ScenarioConfig(kind=kind, duration=sway.duration,
                               sample_rate=sway.sample_rate,
                               object_position=sway.object_position,
                               samples=recorded.position)
-    return ScenarioConfig(**{**vars(demo_scenarios()[kind]), "noise_sigma": sigma,
-                             "rng_seed": seed})
+    return replace(demo_scenarios()[kind], noise_sigma=sigma, rng_seed=seed)
 
 
 class TestScaleCovariance:
