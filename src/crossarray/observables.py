@@ -20,6 +20,7 @@ planar trajectories, while ``q_norm`` covers full 3D motion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -48,6 +49,11 @@ class OpticalStream:
     theta_dot: np.ndarray      # (n,) rad/s signed, NaN unless motion is planar
     q_norm: np.ndarray         # (n,) rad/s, norm of bearing x d(bearing)/dt
 
+    @cached_property
+    def sin_alpha(self) -> np.ndarray:
+        """sin(alpha), taken once per stream for every estimator that reads it."""
+        return np.sin(self.alpha)
+
 
 @dataclass(frozen=True)
 class InertialStream:
@@ -70,7 +76,7 @@ class SupportStream:
         if normal.shape != (self.grid.n_samples, 3):
             raise InputShapeError(
                 f"normal has shape {normal.shape}, expected ({self.grid.n_samples}, 3)")
-        norms = np.linalg.norm(normal, axis=1)
+        norms = kernels.row_norm(normal)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise InputShapeError("support normals must have unit norm (tol 1e-9)")
         object.__setattr__(self, "normal", normal)
@@ -127,7 +133,7 @@ def project_optics(track: KinematicTrack, scene_object: ScenePoint) -> OpticalSt
     if not track.analytic:
         didt = differentiate(bearing, track.grid)
         omega = kernels.cross(bearing, didt)
-        q_norm = np.linalg.norm(omega, axis=1)
+        q_norm = kernels.row_norm(omega)
 
     points = np.vstack([track.position, scene_object.position[None, :]])
     planar, normal = _fit_plane(points)
@@ -142,7 +148,7 @@ def project_inertial(track: KinematicTrack,
                      gravity: np.ndarray = DEFAULT_GRAVITY) -> InertialStream:
     """Project a trajectory into the body's inertial stream."""
     gravity = np.asarray(gravity, dtype=np.float64).reshape(3)
-    speed = np.linalg.norm(track.velocity, axis=1)
+    speed = kernels.row_norm(track.velocity)
     specific_force = gravity[None, :] - track.acceleration
     return InertialStream(grid=track.grid, speed=speed, specific_force=specific_force)
 

@@ -28,6 +28,22 @@ class TestOrbit:
         assert np.max(np.abs(radial_speed)) < 1e-9
 
 
+    def test_equals_the_three_call_formula_bit_for_bit(self):
+        cfg = ScenarioConfig(kind="tangential_orbit", orbit_radius=1.7, speed=0.9,
+                             phase=(0.4, 0.0, 0.0), object_position=(0.3, -0.2, 0.5))
+        track = generate(cfg)
+        r, center = cfg.orbit_radius, cfg.object_position
+        w = cfg.speed / r
+        ang = w * track.grid.times() + cfg.phase[0]
+        zero = np.zeros_like(ang)
+        assert np.array_equal(track.position, center[None, :] + r * np.column_stack(
+            [np.cos(ang), np.sin(ang), zero]))
+        assert np.array_equal(track.velocity, r * w * np.column_stack(
+            [-np.sin(ang), np.cos(ang), zero]))
+        assert np.array_equal(track.acceleration, -r * w * w * np.column_stack(
+            [np.cos(ang), np.sin(ang), zero]))
+
+
 class TestSway:
     def test_planar_sway_matches_independent_lissajous(self):
         cfg = ScenarioConfig(kind="planar_sway", duration=3.0, sample_rate=100.0,

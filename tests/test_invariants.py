@@ -7,6 +7,7 @@ from crossarray import (ScenarioConfig, constant_support, estimate_all,
                         optics_only_ratio, project_and_estimate,
                         project_inertial, project_optics, replay_optics,
                         slope_invariant, tilted_support)
+from crossarray.invariants import EPS_FORCE
 from crossarray.kinematics import KinematicTrack, TimeGrid, as_differentiated
 from crossarray.observables import DEFAULT_GRAVITY, EPS_RATE, EPS_SPEED
 
@@ -200,6 +201,54 @@ class TestSlopeInvariant:
             still_inertial(grid, rotate(accel), gravity=rotate(DEFAULT_GRAVITY)),
             constant_support(grid, rotate(np.array([0.1, 0.2, 1.0]))))
         assert np.max(np.abs(spun.slope_angle - base.slope_angle)) < 1e-12
+
+
+def numpy_slope(inertial, support):
+    """``slope_invariant`` written with ``np.cross`` and ``np.linalg.norm``."""
+    force = inertial.specific_force
+    magnitude = np.linalg.norm(force, axis=1)
+    degenerate = magnitude < EPS_FORCE
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dob = -force / magnitude[:, None]
+    dob = np.where(degenerate[:, None], np.nan, dob)
+    cross = np.cross(dob, support.normal)
+    dot = np.einsum("ij,ij->i", dob, support.normal)
+    angle = np.arctan2(np.linalg.norm(cross, axis=1), dot)
+    return np.where(degenerate, np.nan, angle), dob, degenerate
+
+
+class TestSlopeBits:
+    @pytest.mark.parametrize("accel, tilt", [
+        ((0.0, 0.0, 0.0), 0.0),
+        ((0.0, 0.0, 0.0), 0.17453),
+        ((2.0, -0.5, 0.3), 0.4),
+        (tuple(DEFAULT_GRAVITY), 0.0),
+    ], ids=["level", "tilted", "accelerating", "free-fall"])
+    def test_equals_the_numpy_formula_bit_for_bit(self, accel, tilt):
+        grid = TimeGrid(sample_rate=100.0, n_samples=11)
+        inertial = still_inertial(grid, np.array(accel))
+        support = tilted_support(grid, tilt)
+        slope = slope_invariant(inertial, support)
+        angle, dob, degenerate = numpy_slope(inertial, support)
+        assert np.array_equal(slope.slope_angle, angle, equal_nan=True)
+        assert np.array_equal(slope.direction_of_balance, dob, equal_nan=True)
+        assert np.array_equal(slope.degenerate, degenerate)
+
+    def test_equals_the_numpy_formula_on_sway(self, sway3d_cfg):
+        inertial = project_inertial(generate(sway3d_cfg))
+        support = constant_support(inertial.grid, (0.1, 0.2, 1.0))
+        angle, dob, _ = numpy_slope(inertial, support)
+        slope = slope_invariant(inertial, support)
+        assert np.array_equal(slope.slope_angle, angle)
+        assert np.array_equal(slope.direction_of_balance, dob)
+
+
+class TestSinAlpha:
+    def test_taken_once_and_equal_to_numpy(self, canonical):
+        for cfg in canonical.values():
+            optics = project_optics(generate(cfg), cfg.scene_object)
+            assert optics.sin_alpha is optics.sin_alpha
+            assert np.array_equal(optics.sin_alpha, np.sin(optics.alpha), equal_nan=True)
 
 
 class TestCombinedSeries:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,22 @@ class TestCross:
     def test_matches_numpy_bit_for_bit(self, random_inputs):
         rel, vel = random_inputs["rel"], random_inputs["vel"]
         assert np.array_equal(kernels.cross(rel, vel), np.cross(rel, vel))
+
+
+class TestRowNorm:
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_matches_numpy_bit_for_bit(self, random_inputs, scale):
+        rows = random_inputs["series"] * scale
+        assert np.array_equal(kernels.row_norm(rows), np.linalg.norm(rows, axis=1))
+
+    def test_matches_numpy_on_every_special_value(self):
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1e300, -1e300,
+                   1.0, 3.0, np.nan, np.inf, -np.inf]
+        rows = np.array(list(itertools.product(special, repeat=3)))
+        with np.errstate(over="ignore"):  # 1e300 squared overflows in both
+            got, want = kernels.row_norm(rows), np.linalg.norm(rows, axis=1)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestWindowedSemantics:
