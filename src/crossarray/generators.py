@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .kinematics import KinematicTrack, ScenePoint, TimeGrid, from_positions
+from .kinematics import (MIN_TRACK_SAMPLES, KinematicTrack, ScenePoint, TimeGrid,
+                         from_positions)
 
 RECTILINEAR = "rectilinear"
 PLANAR_SWAY = "planar_sway"
@@ -85,6 +86,11 @@ class ScenarioConfig:
             raise ConfigError(f"duration must be > 0, got {self.duration}")
         if self.sample_rate <= 0:
             raise ConfigError(f"sample_rate must be > 0, got {self.sample_rate}")
+        n_samples = self.grid.n_samples
+        if n_samples < MIN_TRACK_SAMPLES:  # every pipeline differentiates
+            raise ConfigError(
+                f"duration {self.duration} s at sample_rate {self.sample_rate} Hz "
+                f"gives {n_samples} samples; a track needs at least {MIN_TRACK_SAMPLES}")
         if np.any(self.amplitude < 0):
             raise ConfigError(f"amplitudes must be >= 0, got {self.amplitude}")
         if self.orbit_radius <= 0:

@@ -407,6 +407,26 @@ class TestConfigValues:
         assert capsys.readouterr().err.startswith(f"config error: {name} must be ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "analyze", "detect",
+                                         "detect --playback", "slope"])
+    def test_scenario_grid_under_three_samples_is_a_config_error(
+            self, tmp_path, capsys, command):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(SWAY_CFG.replace("duration_s = 4.0", "duration_s = 0.01"))
+        out = tmp_path / "out"
+        assert main([*command.split(), "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: duration 0.01 s at sample_rate 100.0 Hz gives 2 samples; "
+            "a track needs at least 3")
+        assert not out.exists()
+
+    def test_slope_without_a_scenario_runs_on_two_samples(self, tmp_path):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("duration_s = 0.01\n")  # differentiates nothing
+        out = tmp_path / "slope.csv"
+        assert main(["slope", "--config", str(cfg), "--out", str(out)]) == 0
+        assert np.array_equal(read_csv_columns(out)["slope_rad"], [0.0, 0.0])
+
     def test_window_wider_than_the_stream_spans_all_of_it(self, tmp_path):
         reports = []
         for window_s in ("1e300", "8"):

@@ -137,6 +137,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(kind="warp"),
         dict(kind="sway3d", duration=0.0),
+        dict(kind="sway3d", duration=0.01),  # 2 samples at 100 Hz
         dict(kind="sway3d", amplitude=(-0.1, 0, 0)),
         dict(kind="tangential_orbit", orbit_radius=0.0),
         dict(kind="sway3d", noise_sigma=-1.0),
@@ -146,6 +147,9 @@ class TestConfigValidation:
     def test_bad_configs_raise(self, kwargs):
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
+
+    def test_three_samples_are_the_fewest(self):
+        assert ScenarioConfig(kind="sway3d", duration=0.02).grid.n_samples == 3
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ConfigError):
