@@ -1,4 +1,15 @@
+import warnings
+
 import pytest
+
+# On a failing property, hypothesis's pytest plugin imports this module for
+# its patch hint, and the import warns (libcst uses the deprecated
+# mypy_extensions.TypedDict). Under filterwarnings = error that warning would
+# end the run in INTERNALERROR instead of printing the falsifying example, so
+# the module is imported once here, with that warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from crossarray import generate
 from crossarray.demo import demo_scenarios, sway3d_suite

@@ -44,10 +44,12 @@ class TestScaleCovariance:
         assert np.array_equal(np.isnan(optics_k.alpha), np.isnan(optics.alpha))
         assert np.nanmax(np.abs(optics_k.alpha - optics.alpha), initial=0.0) <= 1e-12
         assert np.max(np.abs(optics_k.q_norm - optics.q_norm)) <= 1e-12
-        assert np.max(np.abs(est_k.d_true - k * est.d_true) / (k * est.d_true)) <= 1e-6
+        # bounds: about 10x the largest miss seen in 92,000 examples over
+        # 100 hypothesis seeds, 6.6e-16 for d_true and 1.1e-10 for d_3d
+        assert np.max(np.abs(est_k.d_true - k * est.d_true) / (k * est.d_true)) <= 1e-14
         both = est.valid_3d & est_k.valid_3d
         rel = np.abs(est_k.d_3d[both] - k * est.d_3d[both]) / (k * est.d_3d[both])
-        assert np.max(rel, initial=0.0) <= 1e-6
+        assert np.max(rel, initial=0.0) <= 1e-9
 
 
 def same_bits(a, b) -> bool:
