@@ -137,12 +137,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(kind="warp"),
         dict(kind="sway3d", duration=0.0),
-        dict(kind="sway3d", duration=0.01),  # 2 samples at 100 Hz
         dict(kind="sway3d", amplitude=(-0.1, 0, 0)),
         dict(kind="tangential_orbit", orbit_radius=0.0),
         dict(kind="sway3d", noise_sigma=-1.0),
         dict(kind="rectilinear", speed=float("nan")),
         dict(kind="sway3d", frequency=(np.inf, 0, 0)),
+        dict(kind="sway3d", duration=0.01),  # 2 samples at 100 Hz
     ])
     def test_bad_configs_raise(self, kwargs):
         with pytest.raises(ConfigError):
