@@ -27,7 +27,6 @@ class TestOrbit:
         radial_speed = np.einsum("ij,ij->i", rel / radius[:, None], track.velocity)
         assert np.max(np.abs(radial_speed)) < 1e-9
 
-
     def test_equals_the_three_call_formula_bit_for_bit(self):
         cfg = ScenarioConfig(kind="tangential_orbit", orbit_radius=1.7, speed=0.9,
                              phase=(0.4, 0.0, 0.0), object_position=(0.3, -0.2, 0.5))
