@@ -35,7 +35,7 @@ from .analysis import DEFAULT_TOLERANCE
 from .detector import DetectorConfig
 from .errors import ConfigError, InputShapeError
 from .generators import CUSTOM_SAMPLES, KIND_FIELDS, KINDS, ScenarioConfig
-from .kinematics import MIN_TRACK_SAMPLES, KinematicTrack, TimeGrid
+from .kinematics import MIN_TRACK_SAMPLES, KinematicTrack, TimeGrid, samples_spanning
 from .observables import DEFAULT_GRAVITY
 
 TRACK_HEADER = ["t", "px", "py", "pz", "vx", "vy", "vz", "ax", "ay", "az"]
@@ -386,11 +386,12 @@ class RunConfig:
             raise ConfigError(f"duration must be > 0, got {self.duration}")
         if not self.sample_rate > 0:
             raise ConfigError(f"sample_rate must be > 0, got {self.sample_rate}")
+        samples_spanning(self.duration, self.sample_rate)
 
     @property
     def grid(self) -> TimeGrid:
         return TimeGrid(sample_rate=self.sample_rate,
-                        n_samples=int(round(self.duration * self.sample_rate)) + 1)
+                        n_samples=samples_spanning(self.duration, self.sample_rate))
 
 
 def _scenario(kwargs: Dict[str, object], config_dir: Path) -> Optional[ScenarioConfig]:

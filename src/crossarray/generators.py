@@ -18,9 +18,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigError
 from .kinematics import (MIN_TRACK_SAMPLES, KinematicTrack, ScenePoint, TimeGrid,
-                         from_positions)
+                         from_positions, samples_spanning)
 
 RECTILINEAR = "rectilinear"
 PLANAR_SWAY = "planar_sway"
@@ -103,8 +104,8 @@ class ScenarioConfig:
 
     @property
     def grid(self) -> TimeGrid:
-        n = int(round(self.duration * self.sample_rate)) + 1
-        return TimeGrid(sample_rate=self.sample_rate, n_samples=n)
+        return TimeGrid(sample_rate=self.sample_rate,
+                        n_samples=samples_spanning(self.duration, self.sample_rate))
 
     @property
     def scene_object(self) -> ScenePoint:
@@ -137,16 +138,20 @@ class PlaybackPair:
     stationary: KinematicTrack
 
 
-def _sway_positions(cfg: ScenarioConfig, t: np.ndarray, planar: bool):
+def _sway(cfg: ScenarioConfig, t: np.ndarray, planar: bool, derivatives: bool):
+    """Lissajous positions about ``cfg.start``; with ``derivatives`` also
+    the closed-form velocity and acceleration, else None for both."""
     amp = cfg.amplitude.copy()
     if planar:
         amp[2] = 0.0
     w = 2.0 * np.pi * cfg.frequency
-    arg = np.outer(t, w) + cfg.phase[None, :]
+    arg = kernels.each_row(np.add, kernels.outer(t, w), cfg.phase)
     sin = np.sin(arg)
-    pos = cfg.start[None, :] + amp[None, :] * sin
-    vel = amp[None, :] * w[None, :] * np.cos(arg)
-    acc = -amp[None, :] * w[None, :] ** 2 * sin
+    pos = kernels.each_row(np.add, cfg.start, kernels.each_row(np.multiply, amp, sin))
+    if not derivatives:
+        return pos, None, None
+    vel = kernels.each_row(np.multiply, amp * w, np.cos(arg))
+    acc = kernels.each_row(np.multiply, -amp * w ** 2, sin)
     return pos, vel, acc
 
 
@@ -155,45 +160,50 @@ def generate(cfg: ScenarioConfig) -> KinematicTrack:
 
     Noise-free tracks carry closed-form velocity/acceleration; with
     ``noise_sigma > 0`` iid Gaussian noise is added to position and the
-    derivatives are finite-differenced (``analytic`` False).
+    derivatives are finite-differenced (``analytic`` False), so the
+    closed forms are not computed.
     """
     grid = cfg.grid
+    n = grid.n_samples
     t = grid.times()
+    analytic = cfg.noise_sigma == 0
+    vel = acc = None
 
     if cfg.kind == RECTILINEAR:
         norm = np.linalg.norm(cfg.direction)
         if norm == 0:
             raise ConfigError("rectilinear direction must be nonzero")
         unit = cfg.direction / norm
-        pos = cfg.start[None, :] + cfg.speed * np.outer(t, unit)
-        vel = np.broadcast_to(cfg.speed * unit, (grid.n_samples, 3)).copy()
-        acc = np.zeros((grid.n_samples, 3))
+        pos = kernels.each_row(np.add, cfg.start, cfg.speed * kernels.outer(t, unit))
+        if analytic:
+            vel = kernels.tile_rows(cfg.speed * unit, n)
+            acc = np.zeros((n, 3))
     elif cfg.kind == PLANAR_SWAY:
-        pos, vel, acc = _sway_positions(cfg, t, planar=True)
+        pos, vel, acc = _sway(cfg, t, planar=True, derivatives=analytic)
     elif cfg.kind == SWAY3D:
-        pos, vel, acc = _sway_positions(cfg, t, planar=False)
+        pos, vel, acc = _sway(cfg, t, planar=False, derivatives=analytic)
     elif cfg.kind == TANGENTIAL_ORBIT:
         # circle of orbit_radius around the object, in the object's z plane
         w = cfg.speed / cfg.orbit_radius
         ang = w * t + cfg.phase[0]
         r = cfg.orbit_radius
-        center = cfg.object_position
         cos, sin, zero = np.cos(ang), np.sin(ang), np.zeros_like(ang)
-        pos = center[None, :] + r * np.column_stack([cos, sin, zero])
-        vel = r * w * np.column_stack([-sin, cos, zero])
-        acc = -r * w * w * np.column_stack([cos, sin, zero])
+        radial = np.column_stack([cos, sin, zero])
+        pos = kernels.each_row(np.add, cfg.object_position, r * radial)
+        if analytic:
+            vel = r * w * np.column_stack([-sin, cos, zero])
+            acc = -r * w * w * radial
     elif cfg.kind == CUSTOM_SAMPLES:
         if cfg.samples is None:
             raise ConfigError("custom_samples scenario needs a samples array")
-        if cfg.samples.shape != (grid.n_samples, 3):
+        if cfg.samples.shape != (n, 3):
             raise ConfigError(
-                f"samples shape {cfg.samples.shape} does not match grid "
-                f"({grid.n_samples}, 3)")
+                f"samples shape {cfg.samples.shape} does not match grid ({n}, 3)")
         return from_positions(grid, cfg.samples)
     else:  # pragma: no cover - guarded in __post_init__
         raise ConfigError(f"unknown scenario kind {cfg.kind!r}")
 
-    if cfg.noise_sigma > 0:
+    if not analytic:
         rng = np.random.default_rng(cfg.rng_seed)
         pos = pos + rng.normal(0.0, cfg.noise_sigma, size=pos.shape)
         return from_positions(grid, pos)
@@ -206,7 +216,7 @@ def make_playback(live: KinematicTrack, hold_position: np.ndarray) -> PlaybackPa
     n = live.grid.n_samples
     stationary = KinematicTrack(
         grid=live.grid,
-        position=np.tile(hold, (n, 1)),
+        position=kernels.tile_rows(hold, n),
         velocity=np.zeros((n, 3)),
         acceleration=np.zeros((n, 3)),
     )

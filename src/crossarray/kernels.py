@@ -24,13 +24,67 @@ def diff_central(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _per_column(op, x, y, part) -> np.ndarray:
+    """``op(x, y)`` written one column of the (n, 3) result at a time;
+    ``part(z, j)`` is a 1-D operand's share of column j."""
+    n = (x if x.ndim == 2 else y).shape[0]
+    out = np.empty((n, 3))
+    for j in range(3):
+        op(x[:, j] if x.ndim == 2 else part(x, j),
+           y[:, j] if y.ndim == 2 else part(y, j), out=out[:, j])
+    return out
+
+
+def each_row(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The ufunc ``op`` of an (n, 3) array and a 3-vector applied to
+    every row, in the order given: the bits of ``op(a, v[None, :])`` or
+    ``op(v[None, :], a)``. numpy runs that broadcast as n inner loops of
+    three elements; ``a * v[None, :]`` takes 0.37–0.43 ms at 40,001 rows,
+    and this 0.18–0.21 ms (numpy 2.4, one Xeon core)."""
+    return _per_column(op, x, y, lambda v, j: v[j])
+
+
+def each_column(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The ufunc ``op`` of an (n, 3) array and an (n,) series applied to
+    every column, in the order given: the bits of ``op(a, s[:, None])``
+    or ``op(s[:, None], a)``. ``a / s[:, None]`` takes 0.24–0.32 ms at
+    40,001 rows, and this 0.20–0.26 ms (numpy 2.4, one Xeon core)."""
+    return _per_column(op, x, y, lambda s, j: s)
+
+
+def outer(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``np.outer(t, w)`` for an (n,) series and a 3-vector, with its
+    bits: column j is ``t * w[j]``. ``np.outer`` takes 0.45–0.67 ms at
+    40,001 rows, and this 0.12–0.13 ms (numpy 2.4, one Xeon core)."""
+    out = np.empty((t.shape[0], 3))
+    for j in range(3):
+        np.multiply(t, w[j], out=out[:, j])
+    return out
+
+
+def tile_rows(v: np.ndarray, n: int) -> np.ndarray:
+    """``np.tile(v, (n, 1))`` for a 3-vector: n rows, each a copy of
+    ``v``. Filling the three columns takes 0.09 ms at 40,001 rows against
+    0.16–0.18 ms for ``np.tile`` (numpy 2.4, one Xeon core)."""
+    out = np.empty((n, 3))
+    for j in range(3):
+        out[:, j] = v[j]
+    return out
+
+
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cross product of (n, 3) arrays: the values of
-    ``np.cross``, whose axis handling costs more than the products
-    (three times the time at 40,001 rows, numpy 2.4)."""
+    ``np.cross``, whose axis handling costs more than the products. Each
+    component is written into its column of the result; at 40,001 rows
+    this takes 0.7–0.8 ms, ``np.column_stack`` of the three components
+    1.4–1.6 ms and ``np.cross`` 1.5–2.1 ms (numpy 2.4, one Xeon core)."""
     ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
     bx, by, bz = b[:, 0], b[:, 1], b[:, 2]
-    return np.column_stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+    out = np.empty((a.shape[0], 3))
+    np.subtract(ay * bz, az * by, out=out[:, 0])
+    np.subtract(az * bx, ax * bz, out=out[:, 1])
+    np.subtract(ax * by, ay * bx, out=out[:, 2])
+    return out
 
 
 def row_norm(v: np.ndarray) -> np.ndarray:
@@ -49,9 +103,10 @@ def row_norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(x * x + y * y + z * z)
 
 
-def bearing_kinematics(rel: np.ndarray, vel: np.ndarray, eps_speed: float,
-                       chain_rule: bool):
-    """Per-sample bearing geometry for relative positions ``rel`` (n, 3).
+def bearing_kinematics(rel: np.ndarray, dist: np.ndarray, vel: np.ndarray,
+                       eps_speed: float, chain_rule: bool):
+    """Per-sample bearing geometry for relative positions ``rel`` (n, 3)
+    at distances ``dist`` (n,), ``sqrt(einsum("ij,ij->i", rel, rel))``.
 
     Returns (unit bearing, angle between object direction and heading,
     rotational vector, its norm). The angle is the atan2 of the
@@ -64,8 +119,7 @@ def bearing_kinematics(rel: np.ndarray, vel: np.ndarray, eps_speed: float,
     """
     rel = np.ascontiguousarray(rel, dtype=np.float64)
     vel = np.ascontiguousarray(vel, dtype=np.float64)
-    dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
-    bearing = rel / dist[:, None]
+    bearing = each_column(np.divide, rel, dist)
     radial = np.einsum("ij,ij->i", bearing, vel)
     across = cross(bearing, vel)
     across_norm = np.sqrt(np.einsum("ij,ij->i", across, across))
@@ -73,7 +127,7 @@ def bearing_kinematics(rel: np.ndarray, vel: np.ndarray, eps_speed: float,
     alpha = np.where(speed > float(eps_speed), np.arctan2(across_norm, -radial), np.nan)
     if not chain_rule:
         return bearing, alpha, None, None
-    return bearing, alpha, across / dist[:, None], across_norm / dist
+    return bearing, alpha, each_column(np.divide, across, dist), across_norm / dist
 
 
 def windowed_rel_std(x: np.ndarray, valid: np.ndarray, half_width: int,

@@ -11,10 +11,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputShapeError, InsufficientDataError
+from .errors import ConfigError, InputShapeError, InsufficientDataError
 from . import kernels
 
 MIN_TRACK_SAMPLES = 3  # the fewest samples ``differentiate`` takes
+
+
+def samples_spanning(duration: float, sample_rate: float) -> int:
+    """``round(duration * sample_rate) + 1``: the samples of a grid whose
+    first and last lie ``duration`` seconds apart. A count that is not
+    finite or exceeds the largest array index is a ``ConfigError``; one
+    that merely does not fit in memory fails when the arrays are made."""
+    count = duration * sample_rate
+    largest = np.iinfo(np.intp).max
+    if not np.isfinite(count) or round(count) + 1 > largest:
+        raise ConfigError(
+            f"duration {duration} s at sample_rate {sample_rate} Hz gives {count:.3g} "
+            f"samples; an array holds at most {largest}")
+    return round(count) + 1
 
 
 @dataclass(frozen=True)
@@ -93,11 +107,11 @@ class KinematicTrack:
 
 def constant_acceleration_track(grid: TimeGrid, accel) -> KinematicTrack:
     """Track starting at rest at the origin under a constant acceleration."""
-    accel = np.asarray(accel, dtype=np.float64)
+    accel = np.asarray(accel, dtype=np.float64).reshape(3)
     t = grid.times()
-    return KinematicTrack(grid=grid, position=0.5 * np.outer(t * t, accel),
-                          velocity=np.outer(t, accel),
-                          acceleration=np.tile(accel, (grid.n_samples, 1)))
+    return KinematicTrack(grid=grid, position=0.5 * kernels.outer(t * t, accel),
+                          velocity=kernels.outer(t, accel),
+                          acceleration=kernels.tile_rows(accel, grid.n_samples))
 
 
 def differentiate(series: np.ndarray, grid: TimeGrid) -> np.ndarray:

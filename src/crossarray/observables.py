@@ -97,7 +97,9 @@ def _fit_plane(points: np.ndarray) -> Tuple[bool, np.ndarray]:
     largest-magnitude component is positive, which keeps the theta_dot
     sign convention deterministic.
     """
-    centered = points - points.mean(axis=0)
+    # mean(axis=0) adds the rows in order; a column's own mean sums
+    # pairwise, to other bits, and the SVD sees every one of them
+    centered = kernels.each_row(np.subtract, points, points.mean(axis=0))
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     extent = s[0]
     residual = s[-1]
@@ -121,7 +123,7 @@ def project_optics(track: KinematicTrack, scene_object: ScenePoint) -> OpticalSt
     ``alpha_dot`` is always finite-differenced from the alpha series:
     it models what an observer of the sampled angle could measure.
     """
-    rel = track.position - scene_object.position[None, :]
+    rel = kernels.each_row(np.subtract, track.position, scene_object.position)
     dist_sq = np.einsum("ij,ij->i", rel, rel)
     if np.any(dist_sq <= MIN_SEPARATION ** 2):
         raise DegenerateGeometryError(
@@ -129,7 +131,7 @@ def project_optics(track: KinematicTrack, scene_object: ScenePoint) -> OpticalSt
             f"(min separation {np.sqrt(dist_sq.min()):.3g} m)")
 
     bearing, alpha, omega, q_norm = kernels.bearing_kinematics(
-        rel, track.velocity, EPS_SPEED, chain_rule=track.analytic)
+        rel, np.sqrt(dist_sq), track.velocity, EPS_SPEED, chain_rule=track.analytic)
     if not track.analytic:
         didt = differentiate(bearing, track.grid)
         omega = kernels.cross(bearing, didt)
@@ -149,7 +151,7 @@ def project_inertial(track: KinematicTrack,
     """Project a trajectory into the body's inertial stream."""
     gravity = np.asarray(gravity, dtype=np.float64).reshape(3)
     speed = kernels.row_norm(track.velocity)
-    specific_force = gravity[None, :] - track.acceleration
+    specific_force = kernels.each_row(np.subtract, gravity, track.acceleration)
     return InertialStream(grid=track.grid, speed=speed, specific_force=specific_force)
 
 
@@ -172,7 +174,7 @@ def constant_support(grid: TimeGrid, normal=(0.0, 0.0, 1.0)) -> SupportStream:
     length = np.linalg.norm(n)
     if length == 0:
         raise InputShapeError("support normal must be nonzero")
-    return SupportStream(grid=grid, normal=np.tile(n / length, (grid.n_samples, 1)))
+    return SupportStream(grid=grid, normal=kernels.tile_rows(n / length, grid.n_samples))
 
 
 def tilted_support(grid: TimeGrid, tilt_rad: float) -> SupportStream:

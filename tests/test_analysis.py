@@ -152,3 +152,18 @@ class TestExplorationSummary:
         assert summary["mean_speed_mps"] == 0.0
         assert summary["max_accel_mps2"] == 0.0
         assert summary["amplitude_m"] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(kind="sway3d", duration=5.0, noise_sigma=1e-3, rng_seed=3),
+        ScenarioConfig(kind="rectilinear", direction=(-1.0, 0.5, 0.0), speed=2.0),
+        ScenarioConfig(kind="tangential_orbit", phase=(2.0, 0.0, 0.0)),
+        ScenarioConfig(kind="custom_samples", duration=0.05, samples=[
+            [0.0, -0.0, 1e100], [-0.0, 0.0, -1e100], [-0.0, -0.0, 5e-324],
+            [0.0, 0.0, -5e-324], [-0.0, 0.0, 0.0], [0.0, -0.0, 2.0]]),
+    ], ids=["noisy-sway3d", "rectilinear", "orbit", "signed-zeros"])
+    def test_amplitude_has_the_bits_of_the_axis_0_reduction(self, cfg):
+        track = generate(cfg)
+        want = track.position.max(axis=0) - track.position.min(axis=0)
+        got = np.array(exploration_summary(track)["amplitude_m"])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -420,6 +420,26 @@ class TestConfigValues:
             "a track needs at least 3")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, config, samples", [
+        ("generate", "1e300", "inf"),
+        ("generate", "1e200", "1e+300"),
+        ("slope", "1e300", "inf"),
+    ], ids=["generate-inf", "generate-beyond-intp", "slope-without-kind"])
+    def test_grid_larger_than_an_array_is_a_config_error(self, tmp_path, capsys,
+                                                         command, config, samples):
+        duration, rate = config, "1e300" if config == "1e300" else "1e100"
+        text = f"duration_s = {duration}\nsample_rate_hz = {rate}\n"
+        if command == "generate":
+            text = SWAY_CFG.replace("duration_s = 4.0\nsample_rate_hz = 100\n", text)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: duration {float(duration)} s at sample_rate {float(rate)} Hz "
+            f"gives {samples} samples; an array holds at most {np.iinfo(np.intp).max}")
+        assert not out.exists()
+
     def test_slope_without_a_scenario_runs_on_two_samples(self, tmp_path):
         cfg = tmp_path / "short.cfg"
         cfg.write_text("duration_s = 0.01\n")  # differentiates nothing

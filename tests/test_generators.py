@@ -43,6 +43,68 @@ class TestOrbit:
             [np.cos(ang), np.sin(ang), zero]))
 
 
+def sway_formula(cfg, planar):
+    """The sway's closed forms as (n, 3) broadcasts of per-axis vectors."""
+    amp = cfg.amplitude.copy()
+    if planar:
+        amp[2] = 0.0
+    w = 2.0 * np.pi * cfg.frequency
+    arg = np.outer(cfg.grid.times(), w) + cfg.phase[None, :]
+    sin = np.sin(arg)
+    return (cfg.start[None, :] + amp[None, :] * sin,
+            amp[None, :] * w[None, :] * np.cos(arg),
+            -amp[None, :] * w[None, :] ** 2 * sin)
+
+
+def rectilinear_formula(cfg):
+    unit = cfg.direction / np.linalg.norm(cfg.direction)
+    n = cfg.grid.n_samples
+    return (cfg.start[None, :] + cfg.speed * np.outer(cfg.grid.times(), unit),
+            np.broadcast_to(cfg.speed * unit, (n, 3)).copy(), np.zeros((n, 3)))
+
+
+BROADCAST_CASES = {
+    "sway3d": (dict(kind="sway3d", start=(0.1, -0.2, 0.5), amplitude=(0.05, 0.03, 0.04),
+                    frequency=(0.4, 0.7, 0.3), phase=(0.2, 1.1, -0.6)),
+               lambda cfg: sway_formula(cfg, planar=False)),
+    "planar_sway": (dict(kind="planar_sway", start=(-0.3, 0.2, 0.1),
+                         amplitude=(0.07, 0.02, 0.9), frequency=(0.9, 0.35, 2.0),
+                         phase=(1.3, 0.4, 0.0)),
+                    lambda cfg: sway_formula(cfg, planar=True)),
+    "rectilinear": (dict(kind="rectilinear", start=(0.4, -1.1, 0.2),
+                         direction=(0.3, -2.0, 0.7), speed=1.3),
+                    rectilinear_formula),
+}
+
+
+class TestBroadcastFormulas:
+    """Each analytic kind returns the bits of its (n, 3) broadcast formula;
+    ``TestOrbit`` covers the orbit."""
+
+    @pytest.mark.parametrize("name", BROADCAST_CASES)
+    def test_equals_the_broadcast_formula_bit_for_bit(self, name):
+        kwargs, formula = BROADCAST_CASES[name]
+        cfg = ScenarioConfig(duration=7.0, sample_rate=250.0, **kwargs)
+        track = generate(cfg)
+        pos, vel, acc = formula(cfg)
+        assert track.analytic
+        assert np.array_equal(track.position, pos)
+        assert np.array_equal(track.velocity, vel)
+        assert np.array_equal(track.acceleration, acc)
+
+    @pytest.mark.parametrize("name", [*BROADCAST_CASES, "tangential_orbit"])
+    def test_noisy_positions_are_the_clean_ones_plus_the_seeded_draw(self, name):
+        kwargs = BROADCAST_CASES[name][0] if name in BROADCAST_CASES else dict(
+            kind="tangential_orbit", orbit_radius=1.7, speed=0.9, phase=(0.4, 0.0, 0.0),
+            object_position=(0.3, -0.2, 0.5))
+        clean = ScenarioConfig(duration=3.0, **kwargs)
+        noisy = ScenarioConfig(duration=3.0, noise_sigma=2e-3, rng_seed=11, **kwargs)
+        track = generate(noisy)
+        draw = np.random.default_rng(11).normal(0.0, 2e-3, size=(301, 3))
+        assert np.array_equal(track.position, generate(clean).position + draw)
+        assert np.array_equal(track.velocity, differentiate(track.position, track.grid))
+
+
 class TestSway:
     def test_planar_sway_matches_independent_lissajous(self):
         cfg = ScenarioConfig(kind="planar_sway", duration=3.0, sample_rate=100.0,

@@ -180,6 +180,15 @@ class TestSlopeInvariant:
         assert slope.degenerate.all()
         assert np.all(np.isnan(slope.slope_angle))
 
+    def test_force_below_threshold_has_no_direction(self):
+        # |specific force| = 3e-7 < EPS_FORCE: nonzero, so -force/|force| is finite
+        grid = TimeGrid(sample_rate=100.0, n_samples=11)
+        nearly = still_inertial(grid, accel=DEFAULT_GRAVITY + np.array([3e-7, 0.0, 0.0]))
+        slope = slope_invariant(nearly, constant_support(grid))
+        assert slope.degenerate.all()
+        assert np.all(np.isnan(slope.direction_of_balance))
+        assert np.all(np.isnan(slope.slope_angle))
+
     @settings(deadline=None, max_examples=25)
     @given(axis=st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)),
            angle=st.floats(0.0, np.pi))

@@ -39,6 +39,61 @@ class TestCross:
         assert np.array_equal(kernels.cross(rel, vel), np.cross(rel, vel))
 
 
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1e300, -1e300,
+           1.0, 3.0, np.nan, np.inf, -np.inf]
+SPECIAL_ROWS = np.array(list(itertools.product(SPECIAL, repeat=3)))
+UFUNCS = [np.add, np.subtract, np.multiply, np.divide]
+
+
+def same_bits(got, want):
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def special_vectors():
+    """3-vectors drawn from SPECIAL, each value in every position."""
+    k = len(SPECIAL)
+    return [np.array([SPECIAL[i], SPECIAL[(i + 4) % k], SPECIAL[(i + 9) % k]])
+            for i in range(k)]
+
+
+class TestPerAxisHelpers:
+    """Each helper returns the bits of the broadcast it stands in for."""
+
+    @pytest.mark.parametrize("op", UFUNCS, ids=lambda op: op.__name__)
+    def test_each_row_matches_the_row_broadcast(self, op):
+        a = SPECIAL_ROWS
+        with np.errstate(all="ignore"):
+            for v in special_vectors():
+                assert same_bits(kernels.each_row(op, a, v), op(a, v[None, :]))
+                assert same_bits(kernels.each_row(op, v, a), op(v[None, :], a))
+
+    @pytest.mark.parametrize("op", UFUNCS, ids=lambda op: op.__name__)
+    def test_each_column_matches_the_column_broadcast(self, op):
+        a = SPECIAL_ROWS
+        with np.errstate(all="ignore"):
+            for shift in range(len(SPECIAL)):  # each row meets every value
+                s = np.roll(np.resize(SPECIAL, len(a)), shift)
+                assert same_bits(kernels.each_column(op, a, s), op(a, s[:, None]))
+                assert same_bits(kernels.each_column(op, s, a), op(s[:, None], a))
+
+    def test_outer_matches_numpy(self):
+        t = np.resize(SPECIAL, 41)
+        with np.errstate(all="ignore"):
+            for w in special_vectors():
+                assert same_bits(kernels.outer(t, w), np.outer(t, w))
+
+    def test_tile_rows_matches_numpy(self):
+        for v in special_vectors():
+            assert same_bits(kernels.tile_rows(v, 5), np.tile(v, (5, 1)))
+
+    def test_results_are_fresh_c_contiguous_arrays(self, random_inputs):
+        a, v = random_inputs["series"], random_inputs["vel"][0]
+        for got in (kernels.each_row(np.add, a, v), kernels.each_column(np.add, a, a[:, 0]),
+                    kernels.outer(a[:, 0], v), kernels.tile_rows(v, 4)):
+            assert got.flags.c_contiguous and got.flags.owndata
+
+
 class TestRowNorm:
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
     def test_matches_numpy_bit_for_bit(self, random_inputs, scale):
