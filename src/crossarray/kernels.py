@@ -39,23 +39,23 @@ def each_row(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The ufunc ``op`` of an (n, 3) array and a 3-vector applied to
     every row, in the order given: the bits of ``op(a, v[None, :])`` or
     ``op(v[None, :], a)``. numpy runs that broadcast as n inner loops of
-    three elements; ``a * v[None, :]`` takes 0.37–0.43 ms at 40,001 rows,
-    and this 0.18–0.21 ms (numpy 2.4, one Xeon core)."""
+    three elements; ``a * v[None, :]`` takes 0.26–0.43 ms at 40,001 rows,
+    and this 0.14–0.21 ms (numpy 2.4, one Xeon core)."""
     return _per_column(op, x, y, lambda v, j: v[j])
 
 
 def each_column(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The ufunc ``op`` of an (n, 3) array and an (n,) series applied to
     every column, in the order given: the bits of ``op(a, s[:, None])``
-    or ``op(s[:, None], a)``. ``a / s[:, None]`` takes 0.24–0.32 ms at
-    40,001 rows, and this 0.20–0.26 ms (numpy 2.4, one Xeon core)."""
+    or ``op(s[:, None], a)``. ``a / s[:, None]`` takes 0.20–0.32 ms at
+    40,001 rows, and this 0.18–0.26 ms (numpy 2.4, one Xeon core)."""
     return _per_column(op, x, y, lambda s, j: s)
 
 
 def outer(t: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``np.outer(t, w)`` for an (n,) series and a 3-vector, with its
-    bits: column j is ``t * w[j]``. ``np.outer`` takes 0.45–0.67 ms at
-    40,001 rows, and this 0.12–0.13 ms (numpy 2.4, one Xeon core)."""
+    bits: column j is ``t * w[j]``. ``np.outer`` takes 0.39–0.67 ms at
+    40,001 rows, and this 0.08–0.13 ms (numpy 2.4, one Xeon core)."""
     out = np.empty((t.shape[0], 3))
     for j in range(3):
         np.multiply(t, w[j], out=out[:, j])
@@ -64,8 +64,8 @@ def outer(t: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def tile_rows(v: np.ndarray, n: int) -> np.ndarray:
     """``np.tile(v, (n, 1))`` for a 3-vector: n rows, each a copy of
-    ``v``. Filling the three columns takes 0.09 ms at 40,001 rows against
-    0.16–0.18 ms for ``np.tile`` (numpy 2.4, one Xeon core)."""
+    ``v``. Filling the three columns takes 0.07–0.09 ms at 40,001 rows
+    against 0.12–0.18 ms for ``np.tile`` (numpy 2.4, one Xeon core)."""
     out = np.empty((n, 3))
     for j in range(3):
         out[:, j] = v[j]
@@ -76,8 +76,8 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cross product of (n, 3) arrays: the values of
     ``np.cross``, whose axis handling costs more than the products. Each
     component is written into its column of the result; at 40,001 rows
-    this takes 0.7–0.8 ms, ``np.column_stack`` of the three components
-    1.4–1.6 ms and ``np.cross`` 1.5–2.1 ms (numpy 2.4, one Xeon core)."""
+    this takes 0.56–0.8 ms, ``np.column_stack`` of the three components
+    1.1–1.6 ms and ``np.cross`` 1.5–2.1 ms (numpy 2.4, one Xeon core)."""
     ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
     bx, by, bz = b[:, 0], b[:, 1], b[:, 2]
     out = np.empty((a.shape[0], 3))
