@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -137,21 +137,26 @@ class ScenarioRun:
         still = make_playback(self.track, self.track.position[0]).stationary
         return detect(self.optics, project_inertial(still), self.detector)
 
-    def analysis_texts(self) -> Dict[str, str]:
-        """``timeline.csv`` and ``accuracy.json``, rendered, by file name."""
+    def analysis_tables(self) -> Tuple[Dict[str, np.ndarray], dict]:
+        """The ``timeline.csv`` columns and the ``accuracy.json`` payload."""
         payload = self.report.to_json_dict()
         payload["exploration"] = exploration_summary(self.track)
         payload["reach"] = reach_judgment(self.est, REACH_THRESHOLD)
-        table = timeline_table(self.est, self.optics, self.inertial, self.track)
+        return timeline_table(self.est, self.optics, self.inertial, self.track), payload
+
+    def analysis_texts(self) -> Dict[str, str]:
+        """``timeline.csv`` and ``accuracy.json``, rendered, by file name."""
+        table, payload = self.analysis_tables()
         return {"timeline.csv": fileio.csv_text(table),
                 "accuracy.json": fileio.json_text(payload)}
 
     def write_analysis(self, out_dir: Path) -> List[Path]:
-        """Write ``timeline.csv`` and ``accuracy.json`` into ``out_dir``."""
-        paths = []
-        for name, text in self.analysis_texts().items():
-            paths.append(out_dir / name)
-            fileio.atomic_write_text(paths[-1], text)
+        """Write ``timeline.csv`` and ``accuracy.json`` into ``out_dir``;
+        everything is computed before the directory is made."""
+        table, payload = self.analysis_tables()
+        paths = [out_dir / "timeline.csv", out_dir / "accuracy.json"]
+        fileio.write_csv(paths[0], table)
+        fileio.write_json(paths[1], payload)
         return paths
 
 

@@ -440,6 +440,17 @@ class TestConfigValues:
             f"gives {samples} samples; an array holds at most {np.iinfo(np.intp).max}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("duration", ["0.001", "0.004"])
+    def test_one_sample_run_grid_is_a_config_error(self, tmp_path, capsys, duration):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(f"duration_s = {duration}\n")
+        out = tmp_path / "slope.csv"
+        assert main(["slope", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: duration {duration} s at sample_rate 100.0 Hz gives 1 "
+            "samples; a run needs at least 2")
+        assert not out.exists()
+
     def test_slope_without_a_scenario_runs_on_two_samples(self, tmp_path):
         cfg = tmp_path / "short.cfg"
         cfg.write_text("duration_s = 0.01\n")  # differentiates nothing

@@ -1,7 +1,10 @@
+import errno
+import io
 import os
 import signal
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +123,51 @@ def _row_by_row(table):
     return "\n".join(lines) + "\n"
 
 
+class Interrupt(BaseException):
+    pass
+
+
+CHILD_FAILURES = ["raises", "killed", "short", "no-fork"]
+
+
+def _fail_child(monkeypatch, failure):
+    """The forked child raises, is killed mid-spill or exits 0 one row
+    short; or fork itself fails. The parent renders as usual."""
+    parent = os.getpid()
+    real_rows = fileio._csv_rows
+
+    def rows(cols, start, stop):
+        if os.getpid() == parent:
+            yield from real_rows(cols, start, stop)
+        elif failure == "raises":
+            raise RuntimeError("the child fails")
+        elif failure == "killed":
+            yield next(real_rows(cols, start, stop))
+            os.kill(os.getpid(), signal.SIGKILL)
+        else:  # exits 0, one row short
+            yield from real_rows(cols, start, stop - 1)
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(fileio, "_csv_rows", rows)
+    if failure == "no-fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+
+
+def _interrupt_parent(monkeypatch):
+    """The parent's rows raise Interrupt while the child would run for 20 s."""
+    parent = os.getpid()
+
+    def rows(cols, start, stop):
+        if os.getpid() != parent:
+            time.sleep(20)
+        raise Interrupt
+        yield
+
+    monkeypatch.setattr(fileio, "_csv_rows", rows)
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -167,50 +215,96 @@ class TestForkedRender:
         assert forks == []
         assert text == _row_by_row(table)
 
-    @pytest.mark.parametrize("failure", ["raises", "killed", "short", "no-fork"])
+    @pytest.mark.parametrize("failure", CHILD_FAILURES)
     def test_failed_child_gives_the_same_bytes_and_is_reaped(self, monkeypatch, forks,
                                                              failure):
-        parent = os.getpid()
-        real_rows = fileio._csv_rows
-
-        def rows(cols, start, stop):
-            if os.getpid() == parent:
-                yield from real_rows(cols, start, stop)
-            elif failure == "raises":
-                raise RuntimeError("the child fails")
-            elif failure == "killed":
-                yield next(real_rows(cols, start, stop))
-                os.kill(os.getpid(), signal.SIGKILL)
-            else:  # exits 0, one row short
-                yield from real_rows(cols, start, stop - 1)
-
-        def no_fork():
-            raise BlockingIOError("no process to spare")
-
-        monkeypatch.setattr(fileio, "_csv_rows", rows)
-        if failure == "no-fork":
-            monkeypatch.setattr(os, "fork", no_fork)
+        _fail_child(monkeypatch, failure)
         table = _large_table()
         assert csv_text(table) == _row_by_row(table)
         assert len(forks) == (0 if failure == "no-fork" else 1)
         _assert_no_child_left()
 
+    @pytest.mark.parametrize("failure", CHILD_FAILURES)
+    def test_failed_child_writes_the_same_file(self, tmp_path, monkeypatch, forks,
+                                               failure):
+        _fail_child(monkeypatch, failure)
+        table = _large_table()
+        write_csv(tmp_path / "table.csv", table)
+        assert (tmp_path / "table.csv").read_bytes() == _row_by_row(table).encode()
+        assert [path.name for path in tmp_path.iterdir()] == ["table.csv"]
+        assert len(forks) == (0 if failure == "no-fork" else 1)
+        _assert_no_child_left()
+
     def test_interrupted_parent_kills_and_reaps_its_child(self, monkeypatch, forks):
-        class Interrupt(BaseException):
-            pass
-
-        parent = os.getpid()
-
-        def rows(cols, start, stop):
-            if os.getpid() != parent:
-                time.sleep(20)
-            raise Interrupt
-            yield
-
-        monkeypatch.setattr(fileio, "_csv_rows", rows)
+        _interrupt_parent(monkeypatch)
         start = time.perf_counter()
         with pytest.raises(Interrupt):
             csv_text(_large_table())
         assert time.perf_counter() - start < 10  # killed, not waited for
         assert len(forks) == 1
         _assert_no_child_left()
+
+    def test_interrupted_write_leaves_no_child_and_no_file(self, tmp_path, monkeypatch,
+                                                           forks):
+        _interrupt_parent(monkeypatch)
+        start = time.perf_counter()
+        with pytest.raises(Interrupt):
+            write_csv(tmp_path / "table.csv", _large_table())
+        assert time.perf_counter() - start < 10
+        assert len(forks) == 1
+        assert list(tmp_path.iterdir()) == []
+        _assert_no_child_left()
+
+    def test_failed_write_kills_and_reaps_the_child(self, tmp_path, monkeypatch, forks):
+        parent = os.getpid()
+        real_rows = fileio._csv_rows
+
+        def rows(cols, start, stop):
+            if os.getpid() != parent:
+                time.sleep(20)
+            yield from real_rows(cols, start, stop)
+
+        class FullDisk(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fdopen(fd, mode, **kwargs):
+            os.close(fd)
+            return io.TextIOWrapper(io.BufferedWriter(FullDisk()), **kwargs)
+
+        monkeypatch.setattr(fileio, "_csv_rows", rows)
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        start = time.perf_counter()
+        with pytest.raises(OSError, match="No space left") as failure:
+            write_csv(tmp_path / "table.csv", _large_table())
+        assert time.perf_counter() - start < 10  # the stream was closed, not drained
+        assert len(forks) == 1
+        assert list(tmp_path.iterdir()) == []
+        # reaped before the error left write_csv, though its traceback lives on
+        _assert_no_child_left()
+        assert failure.traceback
+
+
+class TestStreamedWrite:
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "serial"])
+    def test_peak_memory_does_not_grow_with_the_table(self, tmp_path, monkeypatch,
+                                                      forks, cpus):
+        # the text of 200,001 rows is 7.9 MB; rendered whole, the peak
+        # grew with it: 3.9 MB at 50,001 rows, 15.7 MB at 200,001
+        monkeypatch.setattr(fileio, "_usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(3)
+        peaks = []
+        for n in (50_001, 200_001):
+            table = {"x": rng.normal(size=n), "y": rng.normal(size=n)}
+            tracemalloc.start()
+            try:
+                write_csv(tmp_path / "table.csv", table)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(forks) == (2 if cpus == 2 else 0)
+        _assert_no_child_left()
+        assert peaks[1] <= 1.5 * peaks[0], peaks

@@ -14,7 +14,7 @@ from crossarray import (AccuracyReport, DetectionReport, DetectorConfig,
                         project_and_estimate)
 from crossarray.demo import demo_scenarios
 from crossarray.detector import report_to_json_dict
-from crossarray.fileio import json_text
+from crossarray.fileio import json_text, write_json
 from crossarray.generators import CUSTOM_SAMPLES, KINDS, SWAY3D
 
 
@@ -78,12 +78,18 @@ class TestJsonRoundTrip:
                             scale_rel_std_max=st.floats(0.0, 1e300),
                             window_s=positive,
                             fire_fraction=st.floats(0.0, 1.0, exclude_min=True)))
-    def test_detection_report(self, flow, scale, flow_fire, scale_fire, config):
+    def test_detection_report(self, tmp_path_factory, flow, scale, flow_fire,
+                              scale_fire, config):
         report = DetectionReport("live", "", flow, scale, flow_fire, scale_fire,
                                  config)
         payload = report_to_json_dict(report)
-        back = json.loads(json_text(payload))
+        text = json_text(payload)
+        assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        back = json.loads(text)
         assert same_bits(back, payload)
+        path = tmp_path_factory.mktemp("json") / "detect.json"
+        write_json(path, payload)
+        assert path.read_bytes() == text.encode()
         for name, series in (("residual_flow", flow), ("residual_scale", scale)):
             assert [v is None for v in back[name]] == (~np.isfinite(series)).tolist()
 
@@ -93,6 +99,10 @@ class TestJsonRoundTrip:
                st.sampled_from(["d_1d", "d_2d", "d_3d", "d_tan"]),
                st.none() | st.builds(EstimatorAccuracy, fraction, fraction,
                                      st.floats(0.0, allow_infinity=False))))
-    def test_accuracy_report(self, scenario_id, tolerance, estimators):
+    def test_accuracy_report(self, tmp_path_factory, scenario_id, tolerance, estimators):
         payload = AccuracyReport(scenario_id, tolerance, estimators).to_json_dict()
-        assert same_bits(json.loads(json_text(payload)), payload)
+        text = json_text(payload)
+        assert same_bits(json.loads(text), payload)
+        path = tmp_path_factory.mktemp("json") / "accuracy.json"
+        write_json(path, payload)
+        assert path.read_bytes() == text.encode()
