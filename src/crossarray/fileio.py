@@ -9,7 +9,7 @@ All writes are atomic: temp file in the target directory, then rename.
 one block at a time, so no artifact's whole text is ever held in
 memory; ``csv_text`` and ``json_text`` join the same blocks into one
 string. On a 50,001-sample sway3d this took the peak RSS (``wait4``)
-of ``generate``, ``analyze`` and ``detect --playback`` from 64, 74 and
+of ``generate``, ``analyze`` and ``detect --playback`` from 64, 73 and
 58 MB to 45, 53 and 53 MB, on 2 CPUs.
 
 A CSV table of ``CSV_FORK_ROWS`` rows or more is rendered on two CPUs:
@@ -66,7 +66,8 @@ def _umask() -> int:
 
 def _write_atomic(path, chunks: Iterable[str]) -> None:
     """Write the chunks, in order, to a temp file beside ``path``, then
-    rename it over ``path``; nothing is left at either name on failure."""
+    rename it over ``path``. On any failure the temp file is removed and
+    ``path`` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -83,6 +84,7 @@ def _write_atomic(path, chunks: Iterable[str]) -> None:
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically (see ``_write_atomic``)."""
     _write_atomic(path, (text,))
 
 

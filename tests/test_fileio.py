@@ -292,8 +292,8 @@ class TestStreamedWrite:
     @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "serial"])
     def test_peak_memory_does_not_grow_with_the_table(self, tmp_path, monkeypatch,
                                                       forks, cpus):
-        # the text of 200,001 rows is 7.9 MB; rendered whole, the peak
-        # grew with it: 3.9 MB at 50,001 rows, 15.7 MB at 200,001
+        # the text of 200,001 rows is 7.9 MB, four times that of 50,001: a
+        # writer holding the whole text peaks four times as high
         monkeypatch.setattr(fileio, "_usable_cpus", lambda: cpus)
         rng = np.random.default_rng(3)
         peaks = []
