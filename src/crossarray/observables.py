@@ -100,12 +100,7 @@ def _fit_plane(points: np.ndarray) -> Tuple[bool, np.ndarray]:
     # mean(axis=0) adds the rows in order; a column's own mean sums
     # pairwise, to other bits, and the SVD sees every one of them
     centered = kernels.each_row(np.subtract, points, points.mean(axis=0))
-    # LAPACK's SVD of 5 or more rows first factors them as QR and takes
-    # the SVD of R; doing that here gives the same bits without the (n, 3)
-    # U. (A 3x3 scatter matrix would square the condition number that the
-    # planarity test below needs.)
-    cloud = np.linalg.qr(centered, mode="r") if len(centered) >= 5 else centered
-    _, s, vt = np.linalg.svd(cloud, full_matrices=False)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
     extent = s[0]
     residual = s[-1]
     normal = vt[-1]

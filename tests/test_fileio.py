@@ -292,12 +292,15 @@ class TestStreamedWrite:
     @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "serial"])
     def test_peak_memory_does_not_grow_with_the_table(self, tmp_path, monkeypatch,
                                                       forks, cpus):
-        # the text of 200,001 rows is 7.9 MB, four times that of 50,001: a
-        # writer holding the whole text peaks four times as high
+        # the text of 40,001 rows is 1.6 MB, four times that of 10,001: a
+        # writer holding the whole text peaks four times as high. The
+        # child's half is copied one spill chunk at a time, so a chunk
+        # smaller than that half lets these tables show the bound
         monkeypatch.setattr(fileio, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(fileio, "SPILL_CHUNK", 1 << 16)
         rng = np.random.default_rng(3)
         peaks = []
-        for n in (50_001, 200_001):
+        for n in (10_001, 40_001):
             table = {"x": rng.normal(size=n), "y": rng.normal(size=n)}
             tracemalloc.start()
             try:

