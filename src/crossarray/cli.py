@@ -58,7 +58,7 @@ def _require_scenario(run: RunConfig):
 
 
 def cmd_generate(args) -> int:
-    run = load_run_config(args.config)
+    run = load_run_config(args.config, args.command)
     track = generate(_require_scenario(run))
     out = Path(args.out) if args.out else _out_dir(args, run) / "track.csv"
     fileio.write_track_csv(out, track)
@@ -81,7 +81,7 @@ def _load_track_and_object(args, run: RunConfig | None):
 
 
 def cmd_analyze(args) -> int:
-    run = load_run_config(args.config) if args.config else None
+    run = load_run_config(args.config, args.command) if args.config else None
     track, scene_object = _load_track_and_object(args, run)
     tolerance = (args.tolerance if args.tolerance is not None
                  else (run.tolerance if run else DEFAULT_TOLERANCE))
@@ -99,7 +99,7 @@ def _same_file(a, b) -> bool:
 
 
 def cmd_detect(args) -> int:
-    run = load_run_config(args.config) if args.config else None
+    run = load_run_config(args.config, args.command) if args.config else None
     if args.optics_from or args.inertial_from:
         if not (args.optics_from and args.inertial_from and args.object):
             raise ConfigError("mismatched-source detection needs --optics-from, "
@@ -126,7 +126,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_slope(args) -> int:
-    run = load_run_config(args.config)
+    run = load_run_config(args.config, args.command)
     if run.scenario is not None:
         track = generate(run.scenario)
     else:

@@ -40,8 +40,56 @@ from .observables import (InertialStream, OpticalStream, SupportStream,
                           tilted_support)
 
 ANALYTIC_REL_TOL = 1e-6
-SUITE_SIZE = 10
 SUITE_SEED = 1000  # scenario i of the sway suite is seeded SUITE_SEED + i
+# The sway suite's parameters, one row per scenario i: amplitude,
+# frequency and phase (each 3 draws), distance, azimuth and height. Each
+# row holds, in repr, the draws of np.random.default_rng(SUITE_SEED + i)
+# in that order: uniform(0.02, 0.08, 3), uniform(0.3, 1.2, 3),
+# uniform(0, 2 pi, 3), uniform(1.0, 2.5), uniform(-0.6, 0.6) and
+# uniform(-0.2, 0.2). A table, so the demo never loads numpy.random
+# (about 6 MB); tests/test_demo.py pins it to the generator.
+SUITE_DRAWS = (
+    ((0.051283144278503764, 0.056230510820379775, 0.04825650783933524),
+     (0.4829231482902109, 0.7758831230580473, 0.47193265207270985),
+     (1.7690031686875634, 4.7355208550225285, 3.466256001943222),
+     2.295583113562583, 0.3664466650871061, -0.10065093471754448),
+    ((0.05675569571419706, 0.02094202806921989, 0.03126137461291578),
+     (1.0721010580870123, 0.3685787708410328, 0.48098122000088167),
+     (3.9590413413000265, 0.6192841491832584, 0.9563284781071335),
+     1.2703675111190635, -0.44168593437840986, 0.19364679183958228),
+    ((0.04284926956898695, 0.041431360260256817, 0.06485673902409146),
+     (0.6505427271944204, 0.603418068119583, 0.7994050765766616),
+     (1.1763279105725404, 0.7517980699335987, 5.280073670723418),
+     1.604050086197955, 0.5146217435979145, -0.06083471931731407),
+    ((0.03126544209611801, 0.035402348613129325, 0.049680759631331076),
+     (0.8947124017357666, 0.9769015755084691, 0.950788081325709),
+     (2.139030009941402, 3.754458246095058, 6.098315852820642),
+     2.0600562107000635, -0.3395583174411931, -0.14371987624196025),
+    ((0.020052827164442903, 0.027809078727657886, 0.028308641917915482),
+     (0.6425891732525136, 0.8586064243721887, 1.0533834911243865),
+     (0.7884916272258939, 3.521578761866199, 1.7231608997808847),
+     2.237480492245595, 0.17010028506193475, -0.11411654150804457),
+    ((0.024933150384073625, 0.07583372254331622, 0.03723704170206622),
+     (0.8747022437584486, 1.0513134520896776, 1.179049803107736),
+     (1.0193507090539082, 3.1215157074440274, 4.503957722429463),
+     1.5100055348498813, 0.5335104336004285, -0.13176499230840533),
+    ((0.04021528601436947, 0.056051416627979286, 0.03786987796455053),
+     (0.5138152002260158, 1.0197928705491655, 0.6015406396757839),
+     (2.54954939746061, 2.239551441170375, 4.24023238368302),
+     1.733418443816534, 0.4354937171926464, 0.10874620229840176),
+    ((0.024273496247653147, 0.06895882071067659, 0.05857571077511943),
+     (0.4769357203448836, 0.829936914165003, 1.1058034364564937),
+     (2.8348529483519616, 1.2416741180692827, 2.2493196498167656),
+     1.0644384968990939, 0.3797322468156461, -0.006049596621865605),
+    ((0.030035164943277126, 0.06878304486372674, 0.03304596975285451),
+     (1.1853925090939745, 1.1848694467288865, 1.059848119501426),
+     (2.5061967679783486, 0.14285839861348468, 1.6927648687261718),
+     1.5590037012331428, -0.3732355121996435, -0.12012482575993495),
+    ((0.023390027723206357, 0.03961493526037171, 0.022991087724391894),
+     (0.5531937765836932, 1.043261285229677, 0.8480797347262139),
+     (3.533184582526505, 3.1288140176795003, 0.17692639553214443),
+     1.2283930148483757, 0.5183543588212879, -0.17716598083340493),
+)
 SLOPE_GRID = TimeGrid(sample_rate=100.0, n_samples=101)
 SLOPE_ACCEL = np.array([2.0, 0.0, 0.0])  # the accelerating case; also slope.csv
 
@@ -76,17 +124,11 @@ def demo_scenarios() -> Dict[str, ScenarioConfig]:
 
 
 def sway3d_suite() -> List[ScenarioConfig]:
-    """Seeded family of 3D sway scenarios with randomized parameters."""
+    """The seeded family of 3D sway scenarios, one per ``SUITE_DRAWS`` row."""
     configs = []
-    for i in range(SUITE_SIZE):
-        rng = np.random.default_rng(SUITE_SEED + i)
-        amplitude = rng.uniform(0.02, 0.08, 3)
-        frequency = rng.uniform(0.3, 1.2, 3)
-        phase = rng.uniform(0.0, 2.0 * np.pi, 3)
-        distance = rng.uniform(1.0, 2.5)
-        azimuth = rng.uniform(-0.6, 0.6)
-        obj = np.array([distance * np.cos(azimuth), distance * np.sin(azimuth),
-                        rng.uniform(-0.2, 0.2)])
+    for i, (amplitude, frequency, phase, distance, azimuth, height) in enumerate(
+            SUITE_DRAWS):
+        obj = np.array([distance * np.cos(azimuth), distance * np.sin(azimuth), height])
         configs.append(ScenarioConfig(
             kind="sway3d", duration=4.0, sample_rate=100.0,
             amplitude=amplitude, frequency=frequency, phase=phase,

@@ -22,8 +22,9 @@ another Python thread is alive; a child that fails has its half
 rendered here instead.
 
 The run config is a flat ``key = value`` text file with units spelled
-out in key names (``speed_mps``, ``duration_s``). Unknown keys are
-errors: a silently ignored typo would invalidate a replication.
+out in key names (``speed_mps``, ``duration_s``). Unknown keys, and
+keys that the subcommand does not read (``DESTINATIONS``), are errors:
+a silently ignored key would invalidate a replication.
 """
 
 from __future__ import annotations
@@ -54,7 +55,10 @@ CSV_BLOCK_ROWS = 4096
 # already paid at this floor: 8192 rows of one column, 10.2 ms -> 9.7 ms
 # on 2 CPUs in a process holding 60 MB
 CSV_FORK_ROWS = 2 * CSV_BLOCK_ROWS
-SPILL_CHUNK = 1 << 20  # bytes of the child's half read at a time
+# bytes of the child's half read at a time. Each is decoded, and the
+# writer encodes it again, so about three are held at once; at 256 KiB
+# that stays under the ~1.4 MB of rendering one block of two columns
+SPILL_CHUNK = 1 << 18
 JSON_PIECES = 8192  # encoder pieces per chunk of JSON text, ~0.1 MB
 
 
@@ -334,14 +338,23 @@ def write_json(path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 _FLOAT, _INT, _VEC3, _STR = "float", "int", "vec3", "str"
-# where a value goes: the ScenarioConfig, the DetectorConfig or the
-# RunConfig; the grid keys also sample a run that has no scenario.
-_SCENARIO, _DETECTOR, _RUN = ("scenario",), ("detector",), ("run",)
+# where a value goes; the grid keys also sample a run that has no scenario
+_SCENARIO, _DETECTOR = ("scenario",), ("detector",)
+_TOLERANCE, _SLOPE, _OUTPUT = ("tolerance",), ("slope",), ("output",)
+_EVERY = ("generate", "analyze", "detect", "slope")
+
+DESTINATIONS = {  # destination: (the config it fills, the subcommands that read it)
+    "scenario": ("scenario", _EVERY),
+    "detector": ("detector", ("detect",)),
+    "tolerance": ("run", ("analyze",)),
+    "slope": ("run", ("slope",)),
+    "output": ("run", _EVERY),
+}
 
 CONFIG_KEYS = {  # key: (type, destinations, attribute)
     "kind": (_STR, _SCENARIO, "kind"),
-    "duration_s": (_FLOAT, _SCENARIO + _RUN, "duration"),
-    "sample_rate_hz": (_FLOAT, _SCENARIO + _RUN, "sample_rate"),
+    "duration_s": (_FLOAT, _SCENARIO + _SLOPE, "duration"),
+    "sample_rate_hz": (_FLOAT, _SCENARIO + _SLOPE, "sample_rate"),
     "start_m": (_VEC3, _SCENARIO, "start"),
     "direction": (_VEC3, _SCENARIO, "direction"),
     "speed_mps": (_FLOAT, _SCENARIO, "speed"),
@@ -353,16 +366,16 @@ CONFIG_KEYS = {  # key: (type, destinations, attribute)
     "noise_sigma_m": (_FLOAT, _SCENARIO, "noise_sigma"),
     "rng_seed": (_INT, _SCENARIO, "rng_seed"),
     "object_m": (_VEC3, _SCENARIO, "object_position"),
-    "tolerance_rel": (_FLOAT, _RUN, "tolerance"),
+    "tolerance_rel": (_FLOAT, _TOLERANCE, "tolerance"),
     "flow_q_max_radps": (_FLOAT, _DETECTOR, "flow_q_max"),
     "scale_rel_std_max": (_FLOAT, _DETECTOR, "scale_rel_std_max"),
     "window_s": (_FLOAT, _DETECTOR, "window_s"),
     "fire_fraction": (_FLOAT, _DETECTOR, "fire_fraction"),
-    "gravity_mps2": (_VEC3, _RUN, "gravity"),
-    "support_normal": (_VEC3, _RUN, "support_normal"),
-    "support_tilt_rad": (_FLOAT, _RUN, "support_tilt_rad"),
-    "accel_mps2": (_VEC3, _RUN, "accel"),  # only for a run with no scenario
-    "out_dir": (_STR, _RUN, "out_dir"),
+    "gravity_mps2": (_VEC3, _SLOPE, "gravity"),
+    "support_normal": (_VEC3, _SLOPE, "support_normal"),
+    "support_tilt_rad": (_FLOAT, _SLOPE, "support_tilt_rad"),
+    "accel_mps2": (_VEC3, _SLOPE, "accel"),  # only for a run with no scenario
+    "out_dir": (_STR, _OUTPUT, "out_dir"),
 }
 
 
@@ -464,8 +477,10 @@ def _scenario(kwargs: Dict[str, object], config_dir: Path) -> Optional[ScenarioC
     return ScenarioConfig(**kwargs)
 
 
-def run_config_from_values(values: Dict[str, object],
+def run_config_from_values(values: Dict[str, object], command: str,
                            config_dir: Path = Path(".")) -> RunConfig:
+    """The run a config describes to the subcommand ``command``, which
+    must read every key the config holds."""
     if "accel_mps2" in values and "kind" in values:
         raise ConfigError("'accel_mps2' contradicts 'kind': a scenario's "
                           "acceleration comes from its motion")
@@ -484,15 +499,19 @@ def run_config_from_values(values: Dict[str, object],
     if unread:
         raise ConfigError(f"{', '.join(map(repr, unread))} not read by "
                           f"'kind' = {kind}")
+    unread = [key for key in values if not any(
+        command in DESTINATIONS[d][1] for d in CONFIG_KEYS[key][1])]
+    if unread:
+        raise ConfigError(f"{', '.join(map(repr, unread))} not read by '{command}'")
     kwargs = {"scenario": {}, "detector": {}, "run": {}}
     for key, value in values.items():
         _, destinations, attribute = CONFIG_KEYS[key]
         for destination in destinations:
-            kwargs[destination][attribute] = value
+            kwargs[DESTINATIONS[destination][0]][attribute] = value
     scenario = _scenario(kwargs["scenario"], config_dir)
     return RunConfig(scenario=scenario,
                      detector=DetectorConfig(**kwargs["detector"]), **kwargs["run"])
 
 
-def load_run_config(path) -> RunConfig:
-    return run_config_from_values(load_config(path), Path(path).parent)
+def load_run_config(path, command: str) -> RunConfig:
+    return run_config_from_values(load_config(path), command, Path(path).parent)

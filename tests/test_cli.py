@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 from crossarray import fileio
 from crossarray.cli import main
 from crossarray.detector import DetectorConfig
-from crossarray.fileio import (CONFIG_KEYS, RunConfig, read_csv_columns,
-                               read_track_csv, write_csv)
+from crossarray.fileio import (CONFIG_KEYS, DESTINATIONS, RunConfig,
+                               read_csv_columns, read_track_csv, write_csv)
 from crossarray.generators import KIND_FIELDS
 from crossarray.observables import EPS_RATE
 
@@ -22,8 +24,10 @@ amplitude_m = 0.05,0.03,0.04
 frequency_hz = 0.5,0.7,0.3
 phase_rad = 0,1.0,2.0
 object_m = 2,0,0
-tolerance_rel = 0.05
 """
+# a key that a subcommand does not read is an error, so only analyze's
+# config carries the tolerance
+ANALYZE_SWAY_CFG = SWAY_CFG + "tolerance_rel = 0.05\n"
 
 RECT_CFG = """\
 kind = rectilinear
@@ -39,6 +43,13 @@ object_m = 6,8,0
 def sway_cfg(tmp_path):
     path = tmp_path / "sway.cfg"
     path.write_text(SWAY_CFG)
+    return path
+
+
+@pytest.fixture
+def sway_analyze_cfg(tmp_path):
+    path = tmp_path / "sway_analyze.cfg"
+    path.write_text(ANALYZE_SWAY_CFG)
     return path
 
 
@@ -95,9 +106,9 @@ class TestGenerate:
 
 
 class TestAnalyze:
-    def test_sway_accuracy_json(self, tmp_path, sway_cfg):
+    def test_sway_accuracy_json(self, tmp_path, sway_analyze_cfg):
         out = tmp_path / "out"
-        assert main(["analyze", "--config", str(sway_cfg),
+        assert main(["analyze", "--config", str(sway_analyze_cfg),
                      "--out-dir", str(out)]) == 0
         payload = json.loads((out / "accuracy.json").read_text())
         assert payload["tolerance"] == 0.05
@@ -149,11 +160,11 @@ class TestAnalyze:
         assert np.array_equal(loaded.position, regenerated.position)
         assert loaded.grid.matches(regenerated.grid)
 
-    def test_tolerance_zero_vs_default_is_monotone(self, tmp_path, sway_cfg):
+    def test_tolerance_zero_vs_default_is_monotone(self, tmp_path, sway_analyze_cfg):
         fractions = {}
         for tol, name in ((1e-12, "tiny"), (0.05, "default")):
             out = tmp_path / name
-            main(["analyze", "--config", str(sway_cfg),
+            main(["analyze", "--config", str(sway_analyze_cfg),
                   "--tolerance", str(tol), "--out-dir", str(out)])
             payload = json.loads((out / "accuracy.json").read_text())
             fractions[name] = payload["estimators"]["d_1d"]["accurate_fraction"]
@@ -179,9 +190,9 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "out").exists()
 
-    def test_bad_tolerance_writes_nothing(self, tmp_path, sway_cfg):
+    def test_bad_tolerance_writes_nothing(self, tmp_path, sway_analyze_cfg):
         out = tmp_path / "out"
-        assert main(["analyze", "--config", str(sway_cfg), "--tolerance", "0",
+        assert main(["analyze", "--config", str(sway_analyze_cfg), "--tolerance", "0",
                      "--out-dir", str(out)]) == 1
         assert not out.exists()
 
@@ -337,9 +348,9 @@ class TestSlope:
 
 class TestConfigValues:
     def test_every_config_field_is_set_by_a_key(self):
-        def keyed(destination):
+        def keyed(target):
             return {attribute for _, destinations, attribute in CONFIG_KEYS.values()
-                    if destination in destinations}
+                    if any(DESTINATIONS[d][0] == target for d in destinations)}
 
         assert not {f.name for f in fields(DetectorConfig)} - keyed("detector")
         assert not ({f.name for f in fields(RunConfig)} - {"scenario", "detector"}
@@ -349,8 +360,8 @@ class TestConfigValues:
     @pytest.mark.parametrize("command, config, line", [
         ("slope", "duration_s = nan\n", 1),
         ("slope", "sample_rate_hz = inf\n", 1),
-        ("detect", SWAY_CFG + "window_s = nan\n", 9),
-        ("detect --playback", SWAY_CFG + "fire_fraction = nan\n", 9),
+        ("detect", SWAY_CFG + "window_s = nan\n", 8),
+        ("detect --playback", SWAY_CFG + "fire_fraction = nan\n", 8),
         ("slope", "support_normal = nan,0,1\n", 1),
     ], ids=["duration", "sample-rate", "window", "fire-fraction", "support-normal"])
     def test_non_finite_value_is_a_config_error(self, tmp_path, capsys,
@@ -387,6 +398,39 @@ class TestConfigValues:
         assert err.startswith("config error: ")
         assert all(f"'{key}'" in err for key in keys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, config", [
+        ("generate", SWAY_CFG + "tolerance_rel = 0.05\n"),
+        ("generate", SWAY_CFG + "window_s = 0.5\n"),
+        ("analyze", SWAY_CFG + "fire_fraction = 0.5\n"),
+        ("analyze", SWAY_CFG + "support_tilt_rad = 0.1\n"),
+        ("detect", SWAY_CFG + "tolerance_rel = 0.05\n"),
+        ("detect --playback", SWAY_CFG + "gravity_mps2 = 0,0,-9.81\n"),
+        ("slope", SWAY_CFG + "flow_q_max_radps = 0.01\n"),
+        ("slope", "accel_mps2 = 1,0,0\ntolerance_rel = 0.05\n"),
+    ], ids=["generate-tolerance", "generate-window", "analyze-detector",
+            "analyze-support", "detect-tolerance", "playback-gravity",
+            "slope-detector", "slope-without-kind-tolerance"])
+    def test_key_the_subcommand_does_not_read_is_a_config_error(
+            self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(config)
+        key = config.splitlines()[-1].split("=")[0].strip()
+        out = tmp_path / "out"
+        assert main([*command.split(), "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: '{key}' not read by '{command.split()[0]}'\n")
+        assert not out.exists()
+
+    def test_every_key_is_read_by_some_subcommand(self):
+        readers = {key: {c for d in destinations for c in DESTINATIONS[d][1]}
+                   for key, (_, destinations, _) in CONFIG_KEYS.items()}
+        assert all(readers.values())
+        assert readers["tolerance_rel"] == {"analyze"}
+        assert readers["window_s"] == {"detect"}
+        assert readers["gravity_mps2"] == readers["accel_mps2"] == {"slope"}
+        assert readers["kind"] == readers["out_dir"] == {
+            "generate", "analyze", "detect", "slope"}
 
     @pytest.mark.parametrize("command, config, name", [
         ("detect", SWAY_CFG + "fire_fraction = 0\n", "fire_fraction"),
@@ -514,13 +558,15 @@ class TestDemo:
         assert (out / "sway3d" / "timeline.csv").exists()
         assert (out / "slope.csv").exists()
 
-    def test_cli_writes_the_demo_scenario_bytes(self, tmp_path, sway_cfg):
+    def test_cli_writes_the_demo_scenario_bytes(self, tmp_path, sway_cfg,
+                                                sway_analyze_cfg):
         demo = tmp_path / "demo"
         assert main(["demo", "--out-dir", str(demo)]) == 0
         out = tmp_path / "cli"
         cfg = ["--config", str(sway_cfg)]
         assert main(["generate", *cfg, "--out", str(out / "track.csv")]) == 0
-        assert main(["analyze", *cfg, "--scenario-id", "sway3d",
+        assert main(["analyze", "--config", str(sway_analyze_cfg),
+                     "--scenario-id", "sway3d",
                      "--out-dir", str(out)]) == 0
         assert main(["detect", *cfg, "--out", str(out / "detect_live.json")]) == 0
         assert main(["detect", *cfg, "--playback",
@@ -530,3 +576,33 @@ class TestDemo:
         assert sorted(p.name for p in out.iterdir()) == sorted(names)
         for name in names:
             assert (out / name).read_bytes() == (demo / "sway3d" / name).read_bytes(), name
+
+
+class TestImportFootprint:
+    """numpy.random costs a process about 6 MB and 19 modules, so only a
+    command that draws noise may load it."""
+
+    @staticmethod
+    def loads_numpy_random(*args) -> bool:
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "crossarray.cli", *map(str, args)],
+            capture_output=True, text=True)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 0, lines[-5:]
+        # -X importtime logs each module as it is first imported
+        return any(line.rsplit("|", 1)[-1].strip() == "numpy.random" for line in lines)
+
+    @pytest.mark.parametrize("command", [
+        "generate", "analyze", "detect --playback", "slope", "demo"])
+    def test_noise_free_commands_do_not_load_it(self, tmp_path, command):
+        cfg = tmp_path / "sway.cfg"
+        cfg.write_text(ANALYZE_SWAY_CFG if command == "analyze" else SWAY_CFG)
+        config = [] if command == "demo" else ["--config", cfg]
+        assert not self.loads_numpy_random(*command.split(), *config,
+                                           "--out-dir", tmp_path / "out")
+
+    def test_a_noisy_generate_loads_it(self, tmp_path):
+        cfg = tmp_path / "noisy.cfg"
+        cfg.write_text(SWAY_CFG + "noise_sigma_m = 0.001\n")
+        assert self.loads_numpy_random("generate", "--config", cfg,
+                                       "--out-dir", tmp_path / "out")

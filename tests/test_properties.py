@@ -40,10 +40,12 @@ class TestScaleCovariance:
         optics, _, est = project_and_estimate(generate(cfg), cfg.scene_object)
         scaled = cfg.scaled(k)
         optics_k, _, est_k = project_and_estimate(generate(scaled), scaled.scene_object)
-        assert np.max(np.abs(optics_k.bearing - optics.bearing)) <= 1e-12
+        # the largest misses in 100,000 examples over 100 hypothesis seeds:
+        # 5.6e-16 for the bearing, 4.8e-13 for alpha and 7.7e-14 for q_norm
+        assert np.max(np.abs(optics_k.bearing - optics.bearing)) <= 5e-15
         assert np.array_equal(np.isnan(optics_k.alpha), np.isnan(optics.alpha))
         assert np.nanmax(np.abs(optics_k.alpha - optics.alpha), initial=0.0) <= 1e-12
-        assert np.max(np.abs(optics_k.q_norm - optics.q_norm)) <= 1e-12
+        assert np.max(np.abs(optics_k.q_norm - optics.q_norm)) <= 5e-13
         # bounds: about 10x the largest miss seen in 92,000 examples over
         # 100 hypothesis seeds, 6.6e-16 for d_true and 1.1e-10 for d_3d
         assert np.max(np.abs(est_k.d_true - k * est.d_true) / (k * est.d_true)) <= 1e-14
