@@ -68,11 +68,10 @@ def cmd_generate(args) -> int:
 
 def _load_track_and_object(args, run: RunConfig | None):
     if args.track:
-        if args.object is None and (run is None or run.scenario is None):
-            raise ConfigError("--track also needs --object x,y,z (or a config)")
+        if args.object is None:
+            raise ConfigError("--track also needs --object x,y,z")
         track = fileio.read_track_csv(args.track)
-        position = (run.scenario.object_position if args.object is None
-                    else fileio.parse_value("--object", "vec3", args.object))
+        position = fileio.parse_value("--object", "vec3", args.object)
         return track, ScenePoint(position=position)
     if run is None:
         raise ConfigError("either --config or --track is required")
@@ -81,7 +80,8 @@ def _load_track_and_object(args, run: RunConfig | None):
 
 
 def cmd_analyze(args) -> int:
-    run = load_run_config(args.config, args.command) if args.config else None
+    mode = "analyze --track" if args.track else args.command
+    run = load_run_config(args.config, mode) if args.config else None
     track, scene_object = _load_track_and_object(args, run)
     tolerance = (args.tolerance if args.tolerance is not None
                  else (run.tolerance if run else DEFAULT_TOLERANCE))
@@ -99,8 +99,10 @@ def _same_file(a, b) -> bool:
 
 
 def cmd_detect(args) -> int:
-    run = load_run_config(args.config, args.command) if args.config else None
-    if args.optics_from or args.inertial_from:
+    recorded = args.optics_from or args.inertial_from
+    mode = "detect --optics-from" if recorded else args.command
+    run = load_run_config(args.config, mode) if args.config else None
+    if recorded:
         if not (args.optics_from and args.inertial_from and args.object):
             raise ConfigError("mismatched-source detection needs --optics-from, "
                               "--inertial-from and --object")

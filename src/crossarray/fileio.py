@@ -23,8 +23,9 @@ rendered here instead.
 
 The run config is a flat ``key = value`` text file with units spelled
 out in key names (``speed_mps``, ``duration_s``). Unknown keys, and
-keys that the subcommand does not read (``DESTINATIONS``), are errors:
-a silently ignored key would invalidate a replication.
+keys that the subcommand or its mode does not read (``DESTINATIONS``,
+``TRACK_MODES``), are errors: a silently ignored key would invalidate a
+replication.
 """
 
 from __future__ import annotations
@@ -50,15 +51,19 @@ from .kinematics import MIN_TRACK_SAMPLES, KinematicTrack, TimeGrid, samples_spa
 from .observables import DEFAULT_GRAVITY
 
 TRACK_HEADER = ["t", "px", "py", "pz", "vx", "vy", "vz", "ax", "ay", "az"]
-CSV_BLOCK_ROWS = 4096
+# rows rendered at a time. A block's strings should fit in the one empty
+# 1 MiB pymalloc arena CPython keeps, or each block maps and faults in
+# arenas afresh: rendering one block of a timeline's 14 columns peaks
+# at 6.8 MB under tracemalloc at 4096 rows, 0.86 MB at 512
+CSV_BLOCK_ROWS = 512
 # tables from this many rows are rendered by two processes; the split
 # already paid at this floor: 8192 rows of one column, 10.2 ms -> 9.7 ms
 # on 2 CPUs in a process holding 60 MB
-CSV_FORK_ROWS = 2 * CSV_BLOCK_ROWS
+CSV_FORK_ROWS = 8192
 # bytes of the child's half read at a time. Each is decoded, and the
-# writer encodes it again, so about three are held at once; at 256 KiB
-# that stays under the ~1.4 MB of rendering one block of two columns
-SPILL_CHUNK = 1 << 18
+# writer encodes it again, so about three are held at once; at 64 KiB
+# that stays near the ~0.2 MB of rendering one block of two columns
+SPILL_CHUNK = 1 << 16
 JSON_PIECES = 8192  # encoder pieces per chunk of JSON text, ~0.1 MB
 
 
@@ -350,6 +355,11 @@ DESTINATIONS = {  # destination: (the config it fills, the subcommands that read
     "slope": ("run", ("slope",)),
     "output": ("run", _EVERY),
 }
+# modes that read recorded tracks, not a scenario: the destinations they read
+TRACK_MODES = {
+    "analyze --track": ("tolerance", "output"),
+    "detect --optics-from": ("detector", "output"),
+}
 
 CONFIG_KEYS = {  # key: (type, destinations, attribute)
     "kind": (_STR, _SCENARIO, "kind"),
@@ -479,8 +489,8 @@ def _scenario(kwargs: Dict[str, object], config_dir: Path) -> Optional[ScenarioC
 
 def run_config_from_values(values: Dict[str, object], command: str,
                            config_dir: Path = Path(".")) -> RunConfig:
-    """The run a config describes to the subcommand ``command``, which
-    must read every key the config holds."""
+    """The run a config describes to ``command``, a subcommand or one of
+    its ``TRACK_MODES``, which must read every key the config holds."""
     if "accel_mps2" in values and "kind" in values:
         raise ConfigError("'accel_mps2' contradicts 'kind': a scenario's "
                           "acceleration comes from its motion")
@@ -499,8 +509,9 @@ def run_config_from_values(values: Dict[str, object], command: str,
     if unread:
         raise ConfigError(f"{', '.join(map(repr, unread))} not read by "
                           f"'kind' = {kind}")
-    unread = [key for key in values if not any(
-        command in DESTINATIONS[d][1] for d in CONFIG_KEYS[key][1])]
+    read = TRACK_MODES.get(command) or [
+        d for d, (_, commands) in DESTINATIONS.items() if command in commands]
+    unread = [key for key in values if not any(d in read for d in CONFIG_KEYS[key][1])]
     if unread:
         raise ConfigError(f"{', '.join(map(repr, unread))} not read by '{command}'")
     kwargs = {"scenario": {}, "detector": {}, "run": {}}

@@ -107,8 +107,6 @@ def _fit_plane(points: np.ndarray) -> Tuple[bool, np.ndarray]:
     pivot = np.argmax(np.abs(normal))
     if normal[pivot] < 0:
         normal = -normal
-    if extent == 0.0:
-        return True, normal
     return bool(residual <= 1e-9 * extent), normal
 
 

@@ -432,6 +432,58 @@ class TestConfigValues:
         assert readers["kind"] == readers["out_dir"] == {
             "generate", "analyze", "detect", "slope"}
 
+    @staticmethod
+    def _track_mode(tmp_path, sway_cfg, mode, config):
+        """``mode`` on a generated sway track with --object and a config
+        holding ``config``; its exit code."""
+        track = tmp_path / "track.csv"
+        assert main(["generate", "--config", str(sway_cfg), "--out", str(track)]) == 0
+        cfg = tmp_path / "mode.cfg"
+        cfg.write_text(config)
+        sources = {"analyze --track": ["--track", str(track)],
+                   "detect --optics-from": ["--optics-from", str(track),
+                                            "--inertial-from", str(track)]}[mode]
+        return main([mode.split()[0], *sources, "--object", "9,9,9",
+                     "--config", str(cfg)])
+
+    @pytest.mark.parametrize("mode", ["analyze --track", "detect --optics-from"])
+    def test_track_mode_reads_no_scenario_key(self, tmp_path, capsys, sway_cfg, mode):
+        # the track and --object stand in for the scenario, so its keys
+        # would be accepted and never read
+        out = tmp_path / "out"
+        assert self._track_mode(tmp_path, sway_cfg, mode, "kind = sway3d\n"
+                                f"object_m = 2,0,0\nout_dir = {out}\n") == 1
+        assert capsys.readouterr().err == (
+            f"config error: 'kind', 'object_m' not read by '{mode}'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, key, artifact, path", [
+        ("analyze --track", "tolerance_rel", "accuracy.json", ["tolerance"]),
+        ("detect --optics-from", "window_s", "detect.json", ["thresholds", "window_s"]),
+    ], ids=["analyze-tolerance", "detect-window"])
+    def test_track_mode_reads_its_own_keys(self, tmp_path, sway_cfg, mode, key,
+                                           artifact, path):
+        out = tmp_path / "out"
+        assert self._track_mode(tmp_path, sway_cfg, mode,
+                                f"{key} = 0.25\nout_dir = {out}\n") == 0
+        value = json.loads((out / artifact).read_text())
+        for name in path:
+            value = value[name]
+        assert value == 0.25
+
+    def test_track_needs_object_even_with_a_config(self, tmp_path, sway_cfg, capsys):
+        track = tmp_path / "track.csv"
+        main(["generate", "--config", str(sway_cfg), "--out", str(track)])
+        cfg = tmp_path / "tolerance.cfg"
+        cfg.write_text("tolerance_rel = 0.05\n")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["analyze", "--track", str(track), "--config", str(cfg),
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: --track also needs --object x,y,z\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, config, name", [
         ("detect", SWAY_CFG + "fire_fraction = 0\n", "fire_fraction"),
         ("detect", SWAY_CFG + "fire_fraction = 2\n", "fire_fraction"),

@@ -127,12 +127,13 @@ class Interrupt(BaseException):
     pass
 
 
-CHILD_FAILURES = ["raises", "killed", "short", "no-fork"]
+CHILD_FAILURES = ["raises", "killed", "short", "full-then-raises", "no-fork"]
 
 
 def _fail_child(monkeypatch, failure):
-    """The forked child raises, is killed mid-spill or exits 0 one row
-    short; or fork itself fails. The parent renders as usual."""
+    """The forked child raises, is killed mid-spill, exits 0 one row
+    short, or spills all its rows as wrong text and then raises; or fork
+    itself fails. The parent renders as usual."""
     parent = os.getpid()
     real_rows = fileio._csv_rows
 
@@ -144,6 +145,10 @@ def _fail_child(monkeypatch, failure):
         elif failure == "killed":
             yield next(real_rows(cols, start, stop))
             os.kill(os.getpid(), signal.SIGKILL)
+        elif failure == "full-then-raises":
+            # a spill of full length, from a child that exits 1
+            yield "wrong\n" * (stop - start)
+            raise RuntimeError("the child fails after its last row")
         else:  # exits 0, one row short
             yield from real_rows(cols, start, stop - 1)
 
