@@ -10,7 +10,8 @@ one block at a time, so no artifact's whole text is ever held in
 memory; ``csv_text`` and ``json_text`` join the same blocks into one
 string. On a 50,001-sample sway3d this took the peak RSS (``wait4``)
 of ``generate``, ``analyze`` and ``detect --playback`` from 64, 73 and
-58 MB to 45, 53 and 53 MB, on 2 CPUs.
+58 MB to 45, 53 and 53 MB, on 2 CPUs, and 512-row blocks (with the
+package's malloc thresholds) to 38, 49 and 54 MB.
 
 A CSV table of ``CSV_FORK_ROWS`` rows or more is rendered on two CPUs:
 a forked child writes the second half of the rows, block by block, to

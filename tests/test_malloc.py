@@ -2,6 +2,7 @@
 results leaves the freed heap mapped for the next run."""
 
 import os
+import platform
 import subprocess
 import sys
 
@@ -9,9 +10,8 @@ import pytest
 
 import crossarray
 
-glibc = pytest.mark.skipif(
-    not hasattr(os, "confstr") or "CS_GNU_LIBC_VERSION" not in os.confstr_names,
-    reason="the thresholds are glibc's")
+glibc = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                           reason="the thresholds are glibc's")
 
 RUNS, COUNTED = 5, 3
 # one 40,001-sample sway3d through the numerics, RUNS times, each run's
