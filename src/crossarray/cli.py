@@ -51,6 +51,12 @@ def _out_dir(args, run: RunConfig | None = None) -> Path:
     return Path("crossarray_out")
 
 
+def _unread_flag(flag: str, mode: str, reader: str) -> UsageError:
+    """A flag that the chosen mode never reads is an error, as an unread
+    config key is: silently ignored, it would misstate the run."""
+    return UsageError(f"'{flag}' not read by '{mode}': only '{reader}' reads it")
+
+
 def _require_scenario(run: RunConfig):
     if run.scenario is None:
         raise ConfigError("config is missing required key 'kind'")
@@ -81,6 +87,8 @@ def _load_track_and_object(args, run: RunConfig | None):
 
 def cmd_analyze(args) -> int:
     mode = "analyze --track" if args.track else args.command
+    if args.object is not None and not args.track:
+        raise _unread_flag("--object", mode, "analyze --track")
     run = load_run_config(args.config, mode) if args.config else None
     track, scene_object = _load_track_and_object(args, run)
     tolerance = (args.tolerance if args.tolerance is not None
@@ -101,6 +109,10 @@ def _same_file(a, b) -> bool:
 def cmd_detect(args) -> int:
     recorded = args.optics_from or args.inertial_from
     mode = "detect --optics-from" if recorded else args.command
+    if recorded and args.playback:
+        raise _unread_flag("--playback", mode, "detect --config")
+    if args.object is not None and not recorded:
+        raise _unread_flag("--object", mode, "detect --optics-from")
     run = load_run_config(args.config, mode) if args.config else None
     if recorded:
         if not (args.optics_from and args.inertial_from and args.object):

@@ -373,7 +373,7 @@ def check_convergence(runs: DemoRuns) -> CheckResult:
     for rate in (50.0, 100.0, 200.0):
         grid = TimeGrid(sample_rate=rate, n_samples=int(round(2.0 * rate)) + 1)
         t = grid.times()
-        series = np.column_stack([np.sin(t), np.zeros_like(t), np.zeros_like(t)])
+        series = np.array([np.sin(t), np.zeros_like(t), np.zeros_like(t)]).T
         deriv = differentiate(series, grid)
         errors[rate] = float(np.max(np.abs(deriv[:, 0] - np.cos(t))))
     ratio_a = errors[50.0] / errors[100.0]

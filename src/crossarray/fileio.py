@@ -68,10 +68,16 @@ SPILL_CHUNK = 1 << 16
 JSON_PIECES = 8192  # encoder pieces per chunk of JSON text, ~0.1 MB
 
 
-def _umask() -> int:
-    mask = os.umask(0)  # the only way to read it is to set it
-    os.umask(mask)
-    return mask
+def _create_beside(path: Path) -> Tuple[int, Path]:
+    """A new file under a random name beside ``path``, created with mode
+    0666 as ``open()`` creates one, so the kernel applies the umask: the
+    umask can only be read by setting it, for every thread at once."""
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
 
 
 def _write_atomic(path, chunks: Iterable[str]) -> None:
@@ -80,10 +86,8 @@ def _write_atomic(path, chunks: Iterable[str]) -> None:
     ``path`` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    fd, tmp = _create_beside(path)
     try:
-        # mkstemp creates 0600; give the file the mode open() would have
-        os.chmod(tmp, 0o666 & ~_umask())
         with os.fdopen(fd, "w", newline="") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
@@ -313,7 +317,7 @@ def read_track_csv(path) -> KinematicTrack:
     if missing:
         raise ConfigError(f"{path}: missing track columns {missing}")
     grid = _infer_grid(cols["t"], path)
-    stack = lambda prefix: np.column_stack([cols[prefix + axis] for axis in "xyz"])
+    stack = lambda prefix: np.array([cols[prefix + axis] for axis in "xyz"]).T
     return KinematicTrack(grid=grid, position=stack("p"), velocity=stack("v"),
                           acceleration=stack("a"), analytic=False)
 

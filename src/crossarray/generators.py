@@ -100,7 +100,7 @@ class ScenarioConfig:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.samples is not None:
             object.__setattr__(self, "samples",
-                               np.asarray(self.samples, dtype=np.float64))
+                               np.asarray(self.samples, dtype=np.float64, order="F"))
 
     @property
     def grid(self) -> TimeGrid:
@@ -177,7 +177,7 @@ def generate(cfg: ScenarioConfig) -> KinematicTrack:
         pos = kernels.each_row(np.add, cfg.start, cfg.speed * kernels.outer(t, unit))
         if analytic:
             vel = kernels.tile_rows(cfg.speed * unit, n)
-            acc = np.zeros((n, 3))
+            acc = np.zeros((n, 3), order="F")
     elif cfg.kind == PLANAR_SWAY:
         pos, vel, acc = _sway(cfg, t, planar=True, derivatives=analytic)
     elif cfg.kind == SWAY3D:
@@ -188,10 +188,10 @@ def generate(cfg: ScenarioConfig) -> KinematicTrack:
         ang = w * t + cfg.phase[0]
         r = cfg.orbit_radius
         cos, sin, zero = np.cos(ang), np.sin(ang), np.zeros_like(ang)
-        radial = np.column_stack([cos, sin, zero])
+        radial = np.array([cos, sin, zero]).T
         pos = kernels.each_row(np.add, cfg.object_position, r * radial)
         if analytic:
-            vel = r * w * np.column_stack([-sin, cos, zero])
+            vel = r * w * np.array([-sin, cos, zero]).T
             acc = -r * w * w * radial
     elif cfg.kind == CUSTOM_SAMPLES:
         if cfg.samples is None:
@@ -205,8 +205,9 @@ def generate(cfg: ScenarioConfig) -> KinematicTrack:
 
     if not analytic:
         rng = np.random.default_rng(cfg.rng_seed)
-        pos = pos + rng.normal(0.0, cfg.noise_sigma, size=pos.shape)
-        return from_positions(grid, pos)
+        noisy = np.empty((n, 3), order="F")
+        np.add(pos, rng.normal(0.0, cfg.noise_sigma, size=pos.shape), out=noisy)
+        return from_positions(grid, noisy)
     return KinematicTrack(grid=grid, position=pos, velocity=vel, acceleration=acc)
 
 
@@ -217,7 +218,7 @@ def make_playback(live: KinematicTrack, hold_position: np.ndarray) -> PlaybackPa
     stationary = KinematicTrack(
         grid=live.grid,
         position=kernels.tile_rows(hold, n),
-        velocity=np.zeros((n, 3)),
-        acceleration=np.zeros((n, 3)),
+        velocity=np.zeros((n, 3), order="F"),
+        acceleration=np.zeros((n, 3), order="F"),
     )
     return PlaybackPair(live=live, stationary=stationary)

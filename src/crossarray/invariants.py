@@ -187,7 +187,7 @@ def slope_invariant(inertial: InertialStream, support: SupportStream) -> SlopeEs
     dob[degenerate] = np.nan
     # atan2 of cross/dot is well conditioned at both small and large angles
     cross = kernels.cross(dob, support.normal)
-    dot = np.einsum("ij,ij->i", dob, support.normal)
+    dot = kernels.row_dot(dob, support.normal)
     angle = np.arctan2(kernels.row_norm(cross), dot)
     angle = np.where(degenerate, np.nan, angle)
     return SlopeEstimate(grid=inertial.grid, slope_angle=angle,

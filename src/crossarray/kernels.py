@@ -2,6 +2,23 @@
 
 All kernels assume validated float64 inputs; shape checking belongs to
 the callers.
+
+Layout: every (n, 3) series that the package creates is stored in
+Fortran (column-major) order, so each column that a per-axis kernel
+reads is contiguous and numpy runs its loops with SIMD: at 40,001 rows,
+``x * y`` on two columns takes 29–34 µs, and 71–86 µs on the columns of
+C-ordered rows, 24 bytes apart. Results have the same bits in either
+layout, except for three numpy operations whose summation order follows
+the layout; each is pinned:
+
+- row dot products use ``row_dot``, which keeps the order of
+  ``np.einsum("ij,ij->i")`` on C-ordered rows;
+- ``observables._fit_plane`` gets its point cloud in C order, so that
+  ``mean(axis=0)`` adds the rows in order instead of pairwise;
+- ``theta_dot``'s matrix-vector product reads a C-ordered copy of the
+  rotation series, as BLAS follows no fixed summation order.
+
+Timings below are at 40,001 rows (numpy 2.4, one Xeon core).
 """
 
 from __future__ import annotations
@@ -15,7 +32,7 @@ def diff_central(y: np.ndarray, dt: float) -> np.ndarray:
     2nd-order central differences inside, 2nd-order one-sided stencils
     at the two ends.
     """
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     dt = float(dt)
     out = np.empty_like(y)
     out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
@@ -28,7 +45,7 @@ def _per_column(op, x, y, part) -> np.ndarray:
     """``op(x, y)`` written one column of the (n, 3) result at a time;
     ``part(z, j)`` is a 1-D operand's share of column j."""
     n = (x if x.ndim == 2 else y).shape[0]
-    out = np.empty((n, 3))
+    out = np.empty((n, 3), order="F")
     for j in range(3):
         op(x[:, j] if x.ndim == 2 else part(x, j),
            y[:, j] if y.ndim == 2 else part(y, j), out=out[:, j])
@@ -38,25 +55,27 @@ def _per_column(op, x, y, part) -> np.ndarray:
 def each_row(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The ufunc ``op`` of an (n, 3) array and a 3-vector applied to
     every row, in the order given: the bits of ``op(a, v[None, :])`` or
-    ``op(v[None, :], a)``. numpy runs that broadcast as n inner loops of
-    three elements; ``a * v[None, :]`` takes 0.26–0.43 ms at 40,001 rows,
-    and this 0.14–0.21 ms (numpy 2.4, one Xeon core)."""
+    ``op(v[None, :], a)``, in Fortran order whatever the layout of ``a``.
+    On C-ordered rows numpy runs that broadcast as n inner loops of three
+    elements, and ``a * v[None, :]`` takes 0.36–0.39 ms; on Fortran rows
+    it takes 0.06 ms, and this 0.07 ms."""
     return _per_column(op, x, y, lambda v, j: v[j])
 
 
 def each_column(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The ufunc ``op`` of an (n, 3) array and an (n,) series applied to
     every column, in the order given: the bits of ``op(a, s[:, None])``
-    or ``op(s[:, None], a)``. ``a / s[:, None]`` takes 0.20–0.32 ms at
-    40,001 rows, and this 0.18–0.26 ms (numpy 2.4, one Xeon core)."""
+    or ``op(s[:, None], a)``, in Fortran order whatever the layout of
+    ``a``. ``a / s[:, None]`` takes 0.32–0.39 ms on C-ordered rows and
+    0.11–0.13 ms on Fortran rows, and this 0.13–0.14 ms."""
     return _per_column(op, x, y, lambda s, j: s)
 
 
 def outer(t: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``np.outer(t, w)`` for an (n,) series and a 3-vector, with its
-    bits: column j is ``t * w[j]``. ``np.outer`` takes 0.39–0.67 ms at
-    40,001 rows, and this 0.08–0.13 ms (numpy 2.4, one Xeon core)."""
-    out = np.empty((t.shape[0], 3))
+    bits, in Fortran order: column j is ``t * w[j]``. ``np.outer`` takes
+    0.65–0.73 ms, and this 0.05 ms."""
+    out = np.empty((t.shape[0], 3), order="F")
     for j in range(3):
         np.multiply(t, w[j], out=out[:, j])
     return out
@@ -64,9 +83,9 @@ def outer(t: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def tile_rows(v: np.ndarray, n: int) -> np.ndarray:
     """``np.tile(v, (n, 1))`` for a 3-vector: n rows, each a copy of
-    ``v``. Filling the three columns takes 0.07–0.09 ms at 40,001 rows
-    against 0.12–0.18 ms for ``np.tile`` (numpy 2.4, one Xeon core)."""
-    out = np.empty((n, 3))
+    ``v``, in Fortran order. Filling the three columns takes 0.05 ms
+    against 0.19–0.23 ms for ``np.tile``."""
+    out = np.empty((n, 3), order="F")
     for j in range(3):
         out[:, j] = v[j]
     return out
@@ -75,12 +94,13 @@ def tile_rows(v: np.ndarray, n: int) -> np.ndarray:
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cross product of (n, 3) arrays: the values of
     ``np.cross``, whose axis handling costs more than the products. Each
-    component is written into its column of the result; at 40,001 rows
-    this takes 0.56–0.8 ms, ``np.column_stack`` of the three components
-    1.1–1.6 ms and ``np.cross`` 1.5–2.1 ms (numpy 2.4, one Xeon core)."""
+    component is written into its column of a Fortran-ordered result. On
+    Fortran rows this takes 0.30–0.37 ms, ``np.column_stack`` of the
+    three components 0.43–0.53 ms and ``np.cross`` 0.64–0.73 ms; on
+    C-ordered rows this took 0.67–0.82 ms."""
     ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
     bx, by, bz = b[:, 0], b[:, 1], b[:, 2]
-    out = np.empty((a.shape[0], 3))
+    out = np.empty((a.shape[0], 3), order="F")
     np.subtract(ay * bz, az * by, out=out[:, 0])
     np.subtract(az * bx, ax * bz, out=out[:, 1])
     np.subtract(ax * by, ay * bx, out=out[:, 2])
@@ -93,20 +113,38 @@ def row_norm(v: np.ndarray) -> np.ndarray:
     Returns the bits of ``np.linalg.norm(v, axis=1)``, which sums x², y²
     and z² in the same order; rows holding NaN, ±inf, subnormals or
     values whose squares overflow give the same results too. It skips
-    numpy's strided reduction and takes about a fifth of its time:
-    0.14–0.23 ms against 0.75–1.1 ms at 40,001 rows (numpy 2.4, one
-    Xeon core). Not ``sqrt(einsum("ij,ij->i", v, v))``: that is also
-    cheap, but it sums in another order and differs in the last bit on
-    about one row in eight.
+    numpy's reduction: on Fortran rows it takes 0.14–0.17 ms against
+    0.19–0.26 ms, and on C-ordered rows 0.18–0.19 ms against 1.0–1.2 ms.
+    Not ``sqrt(einsum("ij,ij->i", v, v))``: that is also cheap, but it
+    sums in another order and differs in the last bit on about one row
+    in eight.
     """
     x, y, z = v[:, 0], v[:, 1], v[:, 2]
     return np.sqrt(x * x + y * y + z * z)
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of two (n, 3) arrays, with the bits of
+    ``np.einsum("ij,ij->i", a, b)`` on C-ordered rows: ``einsum`` adds
+    ``(a0·b0 + a2·b2) + a1·b1`` to an output that starts at +0.0, which
+    turns a sum of -0.0 into +0.0. On Fortran rows ``einsum`` sums
+    ``(a0·b0 + a1·b1) + a2·b2`` instead. Like ``einsum``, it reports no
+    floating-point error. On Fortran rows this takes 0.13–0.17 ms, and
+    ``einsum`` on C-ordered rows 0.36–0.39 ms."""
+    with np.errstate(all="ignore"):
+        out = a[:, 0] * b[:, 0]
+        part = a[:, 2] * b[:, 2]
+        out += part
+        np.multiply(a[:, 1], b[:, 1], out=part)
+        out += part
+    out += 0.0
+    return out
+
+
 def bearing_kinematics(rel: np.ndarray, dist: np.ndarray, vel: np.ndarray,
                        eps_speed: float, chain_rule: bool):
     """Per-sample bearing geometry for relative positions ``rel`` (n, 3)
-    at distances ``dist`` (n,), ``sqrt(einsum("ij,ij->i", rel, rel))``.
+    at distances ``dist`` (n,), ``sqrt(row_dot(rel, rel))``.
 
     Returns (unit bearing, angle between object direction and heading,
     rotational vector, its norm). The angle is the atan2 of the
@@ -117,13 +155,13 @@ def bearing_kinematics(rel: np.ndarray, dist: np.ndarray, vel: np.ndarray,
     reduces to (bearing x vel) / |rel|, so it is exact whenever the
     velocity series is; without it the last two are None.
     """
-    rel = np.ascontiguousarray(rel, dtype=np.float64)
-    vel = np.ascontiguousarray(vel, dtype=np.float64)
+    rel = np.asarray(rel, dtype=np.float64)
+    vel = np.asarray(vel, dtype=np.float64)
     bearing = each_column(np.divide, rel, dist)
-    radial = np.einsum("ij,ij->i", bearing, vel)
+    radial = row_dot(bearing, vel)
     across = cross(bearing, vel)
-    across_norm = np.sqrt(np.einsum("ij,ij->i", across, across))
-    speed = np.sqrt(np.einsum("ij,ij->i", vel, vel))
+    across_norm = np.sqrt(row_dot(across, across))
+    speed = np.sqrt(row_dot(vel, vel))
     alpha = np.where(speed > float(eps_speed), np.arctan2(across_norm, -radial), np.nan)
     if not chain_rule:
         return bearing, alpha, None, None

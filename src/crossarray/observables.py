@@ -122,7 +122,7 @@ def project_optics(track: KinematicTrack, scene_object: ScenePoint) -> OpticalSt
     it models what an observer of the sampled angle could measure.
     """
     rel = kernels.each_row(np.subtract, track.position, scene_object.position)
-    dist_sq = np.einsum("ij,ij->i", rel, rel)
+    dist_sq = kernels.row_dot(rel, rel)
     if np.any(dist_sq <= MIN_SEPARATION ** 2):
         raise DegenerateGeometryError(
             f"object at {scene_object.position.tolist()} coincides with the trajectory "
@@ -135,9 +135,15 @@ def project_optics(track: KinematicTrack, scene_object: ScenePoint) -> OpticalSt
         omega = kernels.cross(bearing, didt)
         q_norm = kernels.row_norm(omega)
 
-    points = np.vstack([track.position, scene_object.position[None, :]])
+    # C order, so that mean(axis=0) in _fit_plane adds the rows in order
+    n = track.grid.n_samples
+    points = np.empty((n + 1, 3))
+    points[:n] = track.position
+    points[n] = scene_object.position
     planar, normal = _fit_plane(points)
-    theta_dot = omega @ normal if planar else np.full(track.grid.n_samples, np.nan)
+    # BLAS's matrix-vector product sums in an order that follows the layout
+    theta_dot = (np.ascontiguousarray(omega) @ normal if planar
+                 else np.full(n, np.nan))
     return OpticalStream(
         grid=track.grid, bearing=bearing, alpha=alpha,
         alpha_dot=differentiate(alpha, track.grid), theta_dot=theta_dot,

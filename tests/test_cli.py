@@ -588,6 +588,35 @@ class TestFileMode:
         assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
+class TestUnreadFlags:
+    """A flag that the chosen mode never reads is a usage error, as an
+    unread config key is a config error."""
+
+    def test_playback_with_recorded_sources(self, tmp_path, sway_cfg, capsys):
+        track = tmp_path / "track.csv"
+        assert main(["generate", "--config", str(sway_cfg), "--out", str(track)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["detect", "--optics-from", str(track), "--inertial-from", str(track),
+                     "--object", "2,0,0", "--playback", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: '--playback' not read by 'detect --optics-from': "
+            "only 'detect --config' reads it\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, reader", [
+        ("analyze", "analyze --track"), ("detect", "detect --optics-from")])
+    def test_object_with_a_config(self, tmp_path, sway_cfg, sway_analyze_cfg, capsys,
+                                  command, reader):
+        cfg = sway_analyze_cfg if command == "analyze" else sway_cfg
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--object", "9,9,9",
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: '--object' not read by '{command}': only '{reader}' reads it\n")
+        assert not out.exists()
+
+
 class TestUsage:
     def test_missing_sources_is_usage_error(self):
         assert main(["analyze"]) == 1

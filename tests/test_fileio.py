@@ -293,6 +293,21 @@ class TestForkedRender:
         assert failure.traceback
 
 
+class TestUmask:
+    def test_writes_never_set_the_umask(self, tmp_path, monkeypatch):
+        # the umask is process-wide: setting it to read it would give a
+        # file that another thread creates meanwhile the wrong mode
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        write_csv(tmp_path / "table.csv", {"x": np.arange(3.0)})
+        fileio.write_json(tmp_path / "report.json", {"x": 1})
+        assert (tmp_path / "table.csv").read_text() == "x\n0.0\n1.0\n2.0\n"
+        assert (tmp_path / "report.json").read_text() == '{\n  "x": 1\n}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "table.csv"]
+
+
 class TestStreamedWrite:
     @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "serial"])
     def test_peak_memory_does_not_grow_with_the_table(self, tmp_path, monkeypatch,

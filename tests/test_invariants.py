@@ -213,15 +213,17 @@ class TestSlopeInvariant:
 
 
 def numpy_slope(inertial, support):
-    """``slope_invariant`` written with ``np.cross`` and ``np.linalg.norm``."""
-    force = inertial.specific_force
+    """``slope_invariant`` written with ``np.cross`` and ``np.linalg.norm``,
+    on C-ordered copies: on Fortran rows ``einsum`` sums in another order."""
+    force = np.ascontiguousarray(inertial.specific_force)
+    normal = np.ascontiguousarray(support.normal)
     magnitude = np.linalg.norm(force, axis=1)
     degenerate = magnitude < EPS_FORCE
     with np.errstate(invalid="ignore", divide="ignore"):
         dob = -force / magnitude[:, None]
     dob = np.where(degenerate[:, None], np.nan, dob)
-    cross = np.cross(dob, support.normal)
-    dot = np.einsum("ij,ij->i", dob, support.normal)
+    cross = np.cross(dob, normal)
+    dot = np.einsum("ij,ij->i", dob, normal)
     angle = np.arctan2(np.linalg.norm(cross, axis=1), dot)
     return np.where(degenerate, np.nan, angle), dob, degenerate
 

@@ -87,11 +87,52 @@ class TestPerAxisHelpers:
         for v in special_vectors():
             assert same_bits(kernels.tile_rows(v, 5), np.tile(v, (5, 1)))
 
-    def test_results_are_fresh_c_contiguous_arrays(self, random_inputs):
+    def test_results_are_fresh_f_contiguous_arrays(self, random_inputs):
         a, v = random_inputs["series"], random_inputs["vel"][0]
         for got in (kernels.each_row(np.add, a, v), kernels.each_column(np.add, a, a[:, 0]),
-                    kernels.outer(a[:, 0], v), kernels.tile_rows(v, 4)):
-            assert got.flags.c_contiguous and got.flags.owndata
+                    kernels.outer(a[:, 0], v), kernels.tile_rows(v, 4),
+                    kernels.cross(a, random_inputs["rel"])):
+            assert got.flags.f_contiguous and got.flags.owndata
+
+
+def same_values(got, want):
+    """``same_bits`` but for the sign of a NaN, which numpy does not fix:
+    ``x + y`` of two NaNs of opposite sign takes x's sign in its vector
+    loop and y's in its scalar one."""
+    numbers = ~np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers])))
+
+
+class TestRowDot:
+    """``row_dot`` stands in for ``np.einsum("ij,ij->i")`` on C-ordered
+    rows; these pin the numpy behaviour that its bits rest on."""
+
+    @pytest.mark.parametrize("n", list(range(1, 71)) + [4097, 40001])
+    def test_matches_einsum_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, 3)) * rng.uniform(0.0, 1e3, size=(n, 3))
+        b = rng.normal(size=(n, 3))
+        a[rng.random(n) < 0.1] = -0.0  # einsum sums three -0.0 products to +0.0
+        want = np.einsum("ij,ij->i", a, b)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            assert same_bits(kernels.row_dot(layout(a), layout(b)), want)
+
+    def test_matches_einsum_on_every_special_value(self):
+        a = SPECIAL_ROWS
+        for shift in range(0, len(a), 97):  # each row meets other rows
+            b = np.roll(a, shift, axis=0)
+            # neither warns where a product overflows or is inf * 0
+            assert same_values(kernels.row_dot(a, b), np.einsum("ij,ij->i", a, b))
+
+    def test_warns_nowhere_einsum_does_not(self):
+        # overflow, inf * 0, inf - inf and underflow
+        a = np.array([[1e300, np.inf, 0.0], [np.inf, 1.0, -np.inf], [1e-300, 0.0, 0.0]])
+        b = np.array([[1e300, 0.0, 1.0], [1.0, 1.0, 1.0], [1e-300, 1.0, 1.0]])
+        with np.errstate(all="raise"):
+            want = np.einsum("ij,ij->i", a, b)
+            got = kernels.row_dot(a, b)
+        assert same_values(got, want)
 
 
 class TestRowNorm:
