@@ -3,11 +3,16 @@
 Subcommands: ``generate``, ``analyze``, ``detect``, ``slope``, ``demo``.
 Runs are reproducible: the same config produces byte-identical outputs.
 Exit codes: 0 success, 1 usage or config error, 2 runtime/numeric error.
+
+``run`` is the process entry, for ``python -m crossarray.cli`` and the
+installed ``crossarray`` script; ``main(argv)`` is the command itself,
+for callers inside a process of their own.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -16,7 +21,6 @@ import numpy as np
 
 from . import fileio
 from .analysis import DEFAULT_TOLERANCE, slope_table
-from .demo import ScenarioRun, run_demo, write_detection
 from .detector import DetectorConfig, detect
 from .errors import ConfigError, CrossArrayError
 from .fileio import RunConfig, load_run_config
@@ -25,6 +29,7 @@ from .invariants import slope_invariant
 from .kinematics import ScenePoint, constant_acceleration_track
 from .observables import (constant_support, project_inertial, project_optics,
                           tilted_support)
+from .pipeline import ScenarioRun, write_detection
 
 ENV_OUT_DIR = "CROSSARRAY_OUT_DIR"
 
@@ -159,6 +164,8 @@ def cmd_slope(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from .demo import run_demo  # its scenarios, checks and tables serve only here
+
     out_dir = _out_dir(args)
     results = run_demo(out_dir)
     width = max(len(r.name) for r in results)
@@ -221,6 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code. Nothing process-wide
+    changes, the garbage collector included, so tests and host processes
+    call it in their own process."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -239,5 +249,18 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry: ``main`` on ``sys.argv``, then exit with its code.
+
+    The heap the imports left, about 22,000 objects the collector tracks,
+    is frozen first, so no collection scans it again: not during the
+    command, and not at shutdown, whose full collections over it took
+    about 22 ms of each process. The freeze is here and not in ``main``,
+    where it would freeze a host process's heap.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -7,37 +7,33 @@ collapse between the models, scale-blindness of optics, the slope
 invariant, replay detection, differencing convergence, and bit-level
 determinism. ``ALL_CHECKS`` is the one definition of these checks; the
 acceptance tests assert on their results. Each shared scenario goes
-through the pipeline once (``demo_runs``), and the checks and the
-artifact writers all read that run. The CLI ``demo`` subcommand prints
-the resulting table and writes every artifact under one output
-directory; the CLI ``analyze`` and ``detect`` subcommands write theirs
-through the same ``ScenarioRun``.
+through the pipeline once (``demo_runs``), as a ``pipeline.ScenarioRun``,
+and the checks and the artifact writers all read that run. The CLI
+``demo`` subcommand prints the resulting table and writes every artifact
+under one output directory; the CLI ``analyze`` and ``detect``
+subcommands write theirs through the same ``ScenarioRun``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import fileio
-from .analysis import (DEFAULT_TOLERANCE, REACH_THRESHOLD, AccuracyReport,
-                       accuracy, exploration_summary, reach_judgment,
-                       slope_table, timeline_table)
-from .detector import (DetectionReport, DetectorConfig, detect,
-                       report_to_json_dict)
-from .generators import ScenarioConfig, generate, make_playback
-from .invariants import (DistanceEstimateSeries, SlopeEstimate, estimate_all,
-                         optics_only_ratio, project_and_estimate, slope_invariant)
-from .kinematics import (KinematicTrack, ScenePoint, TimeGrid, as_differentiated,
-                         constant_acceleration_track, differentiate)
-from .observables import (InertialStream, OpticalStream, SupportStream,
-                          constant_support, project_inertial, project_optics,
+from .analysis import DEFAULT_TOLERANCE, accuracy, slope_table
+from .detector import detect
+from .generators import ScenarioConfig, generate
+from .invariants import (SlopeEstimate, optics_only_ratio, project_and_estimate,
+                         slope_invariant)
+from .kinematics import (TimeGrid, as_differentiated, constant_acceleration_track,
+                         differentiate)
+from .observables import (SupportStream, constant_support, project_inertial,
                           tilted_support)
+from .pipeline import ScenarioRun, write_detection
 
 ANALYTIC_REL_TOL = 1e-6
 SUITE_SEED = 1000  # scenario i of the sway suite is seeded SUITE_SEED + i
@@ -134,76 +130,6 @@ def sway3d_suite() -> List[ScenarioConfig]:
             amplitude=amplitude, frequency=frequency, phase=phase,
             object_position=obj, rng_seed=SUITE_SEED + i))
     return configs
-
-
-@dataclass(frozen=True)
-class ScenarioRun:
-    """One track and one scene object, taken through the pipeline.
-
-    Each stage runs once, when it is first read: a run that only writes
-    the analysis never detects, and one that only detects never
-    estimates. Every timeline, accuracy report and verdict of one track
-    that ``cli`` or ``demo`` writes comes from this class.
-    """
-
-    name: str  # the scenario id in accuracy.json
-    track: KinematicTrack
-    scene_object: ScenePoint
-    tolerance: float = DEFAULT_TOLERANCE
-    detector: DetectorConfig = DetectorConfig()
-
-    @cached_property
-    def optics(self) -> OpticalStream:
-        return project_optics(self.track, self.scene_object)
-
-    @cached_property
-    def inertial(self) -> InertialStream:
-        return project_inertial(self.track)
-
-    @cached_property
-    def est(self) -> DistanceEstimateSeries:
-        return estimate_all(self.optics, self.inertial, self.track, self.scene_object)
-
-    @cached_property
-    def report(self) -> AccuracyReport:
-        return accuracy(self.est, self.tolerance, scenario_id=self.name)
-
-    @cached_property
-    def live(self) -> DetectionReport:
-        """The matched optical and inertial streams."""
-        return detect(self.optics, self.inertial, self.detector)
-
-    @cached_property
-    def playback(self) -> DetectionReport:
-        """The same optics replayed to a body holding still at the first sample."""
-        still = make_playback(self.track, self.track.position[0]).stationary
-        return detect(self.optics, project_inertial(still), self.detector)
-
-    def analysis_tables(self) -> Tuple[Dict[str, np.ndarray], dict]:
-        """The ``timeline.csv`` columns and the ``accuracy.json`` payload."""
-        payload = self.report.to_json_dict()
-        payload["exploration"] = exploration_summary(self.track)
-        payload["reach"] = reach_judgment(self.est, REACH_THRESHOLD)
-        return timeline_table(self.est, self.optics, self.inertial, self.track), payload
-
-    def analysis_texts(self) -> Dict[str, str]:
-        """``timeline.csv`` and ``accuracy.json``, rendered, by file name."""
-        table, payload = self.analysis_tables()
-        return {"timeline.csv": fileio.csv_text(table),
-                "accuracy.json": fileio.json_text(payload)}
-
-    def write_analysis(self, out_dir: Path) -> List[Path]:
-        """Write ``timeline.csv`` and ``accuracy.json`` into ``out_dir``;
-        everything is computed before the directory is made."""
-        table, payload = self.analysis_tables()
-        paths = [out_dir / "timeline.csv", out_dir / "accuracy.json"]
-        fileio.write_csv(paths[0], table)
-        fileio.write_json(paths[1], payload)
-        return paths
-
-
-def write_detection(path: Path, report: DetectionReport) -> None:
-    fileio.write_json(path, report_to_json_dict(report))
 
 
 def run_scenario(name: str, cfg: ScenarioConfig) -> ScenarioRun:

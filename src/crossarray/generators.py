@@ -145,13 +145,13 @@ def _sway(cfg: ScenarioConfig, t: np.ndarray, planar: bool, derivatives: bool):
     if planar:
         amp[2] = 0.0
     w = 2.0 * np.pi * cfg.frequency
-    arg = kernels.each_row(np.add, kernels.outer(t, w), cfg.phase)
+    arg = kernels.outer(t, w) + cfg.phase
     sin = np.sin(arg)
-    pos = kernels.each_row(np.add, cfg.start, kernels.each_row(np.multiply, amp, sin))
+    pos = cfg.start + amp * sin
     if not derivatives:
         return pos, None, None
-    vel = kernels.each_row(np.multiply, amp * w, np.cos(arg))
-    acc = kernels.each_row(np.multiply, -amp * w ** 2, sin)
+    vel = amp * w * np.cos(arg)
+    acc = -amp * w ** 2 * sin
     return pos, vel, acc
 
 
@@ -174,7 +174,7 @@ def generate(cfg: ScenarioConfig) -> KinematicTrack:
         if norm == 0:
             raise ConfigError("rectilinear direction must be nonzero")
         unit = cfg.direction / norm
-        pos = kernels.each_row(np.add, cfg.start, cfg.speed * kernels.outer(t, unit))
+        pos = cfg.start + cfg.speed * kernels.outer(t, unit)
         if analytic:
             vel = kernels.tile_rows(cfg.speed * unit, n)
             acc = np.zeros((n, 3), order="F")
@@ -189,7 +189,7 @@ def generate(cfg: ScenarioConfig) -> KinematicTrack:
         r = cfg.orbit_radius
         cos, sin, zero = np.cos(ang), np.sin(ang), np.zeros_like(ang)
         radial = np.array([cos, sin, zero]).T
-        pos = kernels.each_row(np.add, cfg.object_position, r * radial)
+        pos = cfg.object_position + r * radial
         if analytic:
             vel = r * w * np.array([-sin, cos, zero]).T
             acc = -r * w * w * radial

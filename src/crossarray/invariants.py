@@ -142,8 +142,7 @@ def estimate_all(optics: OpticalStream, inertial: InertialStream,
         d_1d = np.where(validity["d_1d"], along / np.abs(optics.alpha_dot), np.nan)
         d_2d = np.where(validity["d_2d"], along / np.abs(optics.theta_dot), np.nan)
         d_tan = np.where(validity["d_tan"], speed / optics.q_norm, np.nan)
-    d_true = kernels.row_norm(
-        kernels.each_row(np.subtract, track.position, scene_object.position))
+    d_true = kernels.row_norm(track.position - scene_object.position)
     return DistanceEstimateSeries(
         grid=track.grid, d_1d=d_1d, d_2d=d_2d,
         d_3d=estimate_distance_3d(optics, inertial), d_tan=d_tan,
@@ -183,7 +182,7 @@ def slope_invariant(inertial: InertialStream, support: SupportStream) -> SlopeEs
     magnitude = kernels.row_norm(force)
     degenerate = magnitude < EPS_FORCE
     with np.errstate(invalid="ignore", divide="ignore"):
-        dob = kernels.each_column(np.divide, -force, magnitude)
+        dob = -force / magnitude[:, None]
     dob[degenerate] = np.nan
     # atan2 of cross/dot is well conditioned at both small and large angles
     cross = kernels.cross(dob, support.normal)

@@ -7,9 +7,11 @@ Layout: every (n, 3) series that the package creates is stored in
 Fortran (column-major) order, so each column that a per-axis kernel
 reads is contiguous and numpy runs its loops with SIMD: at 40,001 rows,
 ``x * y`` on two columns takes 29–34 µs, and 71–86 µs on the columns of
-C-ordered rows, 24 bytes apart. Results have the same bits in either
-layout, except for three numpy operations whose summation order follows
-the layout; each is pinned:
+C-ordered rows, 24 bytes apart. Plain broadcasts such as
+``rel / dist[:, None]`` and ``position - point`` keep the layout of the
+series they are given. Results have the same bits in either layout,
+except for three numpy operations whose summation order follows the
+layout; each is pinned:
 
 - row dot products use ``row_dot``, which keeps the order of
   ``np.einsum("ij,ij->i")`` on C-ordered rows;
@@ -39,36 +41,6 @@ def diff_central(y: np.ndarray, dt: float) -> np.ndarray:
     out[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * dt)
     out[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * dt)
     return out
-
-
-def _per_column(op, x, y, part) -> np.ndarray:
-    """``op(x, y)`` written one column of the (n, 3) result at a time;
-    ``part(z, j)`` is a 1-D operand's share of column j."""
-    n = (x if x.ndim == 2 else y).shape[0]
-    out = np.empty((n, 3), order="F")
-    for j in range(3):
-        op(x[:, j] if x.ndim == 2 else part(x, j),
-           y[:, j] if y.ndim == 2 else part(y, j), out=out[:, j])
-    return out
-
-
-def each_row(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The ufunc ``op`` of an (n, 3) array and a 3-vector applied to
-    every row, in the order given: the bits of ``op(a, v[None, :])`` or
-    ``op(v[None, :], a)``, in Fortran order whatever the layout of ``a``.
-    On C-ordered rows numpy runs that broadcast as n inner loops of three
-    elements, and ``a * v[None, :]`` takes 0.36–0.39 ms; on Fortran rows
-    it takes 0.06 ms, and this 0.07 ms."""
-    return _per_column(op, x, y, lambda v, j: v[j])
-
-
-def each_column(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The ufunc ``op`` of an (n, 3) array and an (n,) series applied to
-    every column, in the order given: the bits of ``op(a, s[:, None])``
-    or ``op(s[:, None], a)``, in Fortran order whatever the layout of
-    ``a``. ``a / s[:, None]`` takes 0.32–0.39 ms on C-ordered rows and
-    0.11–0.13 ms on Fortran rows, and this 0.13–0.14 ms."""
-    return _per_column(op, x, y, lambda s, j: s)
 
 
 def outer(t: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -157,7 +129,7 @@ def bearing_kinematics(rel: np.ndarray, dist: np.ndarray, vel: np.ndarray,
     """
     rel = np.asarray(rel, dtype=np.float64)
     vel = np.asarray(vel, dtype=np.float64)
-    bearing = each_column(np.divide, rel, dist)
+    bearing = rel / dist[:, None]
     radial = row_dot(bearing, vel)
     across = cross(bearing, vel)
     across_norm = np.sqrt(row_dot(across, across))
@@ -165,7 +137,7 @@ def bearing_kinematics(rel: np.ndarray, dist: np.ndarray, vel: np.ndarray,
     alpha = np.where(speed > float(eps_speed), np.arctan2(across_norm, -radial), np.nan)
     if not chain_rule:
         return bearing, alpha, None, None
-    return bearing, alpha, each_column(np.divide, across, dist), across_norm / dist
+    return bearing, alpha, across / dist[:, None], across_norm / dist
 
 
 def windowed_rel_std(x: np.ndarray, valid: np.ndarray, half_width: int,

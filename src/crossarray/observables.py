@@ -98,8 +98,11 @@ def _fit_plane(points: np.ndarray) -> Tuple[bool, np.ndarray]:
     sign convention deterministic.
     """
     # mean(axis=0) adds the rows in order; a column's own mean sums
-    # pairwise, to other bits, and the SVD sees every one of them
-    centered = kernels.each_row(np.subtract, points, points.mean(axis=0))
+    # pairwise, to other bits, and the SVD sees every one of them. The
+    # centered cloud is written in Fortran order: on C-ordered rows the
+    # broadcast runs n loops of three elements (0.39 ms at 40,002 rows,
+    # against 0.13), and the SVD copies Fortran input faster.
+    centered = np.subtract(points, points.mean(axis=0), order="F")
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     extent = s[0]
     residual = s[-1]
@@ -121,7 +124,7 @@ def project_optics(track: KinematicTrack, scene_object: ScenePoint) -> OpticalSt
     ``alpha_dot`` is always finite-differenced from the alpha series:
     it models what an observer of the sampled angle could measure.
     """
-    rel = kernels.each_row(np.subtract, track.position, scene_object.position)
+    rel = track.position - scene_object.position
     dist_sq = kernels.row_dot(rel, rel)
     if np.any(dist_sq <= MIN_SEPARATION ** 2):
         raise DegenerateGeometryError(
@@ -155,7 +158,7 @@ def project_inertial(track: KinematicTrack,
     """Project a trajectory into the body's inertial stream."""
     gravity = np.asarray(gravity, dtype=np.float64).reshape(3)
     speed = kernels.row_norm(track.velocity)
-    specific_force = kernels.each_row(np.subtract, gravity, track.acceleration)
+    specific_force = gravity - track.acceleration
     return InertialStream(grid=track.grid, speed=speed, specific_force=specific_force)
 
 

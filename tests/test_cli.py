@@ -1,14 +1,17 @@
+import ast
+import gc
 import json
 import os
 import stat
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crossarray import fileio
+from crossarray import cli, fileio
 from crossarray.cli import main
 from crossarray.detector import DetectorConfig
 from crossarray.fileio import (CONFIG_KEYS, DESTINATIONS, RunConfig,
@@ -659,31 +662,85 @@ class TestDemo:
             assert (out / name).read_bytes() == (demo / "sway3d" / name).read_bytes(), name
 
 
+class TestProcessEntry:
+    """A CLI process freezes its imported heap before the command runs;
+    ``main`` called in a process of its own leaves the collector alone."""
+
+    # runs crossarray.cli as ``python -m`` does, then reports the freeze
+    # count from an exit hook, which runs after the entry's sys.exit
+    PROBE = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+sys.argv = ["crossarray", *sys.argv[1:]]
+runpy.run_module("crossarray.cli", run_name="__main__")
+"""
+
+    def test_a_cli_process_freezes_the_imported_heap(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("accel_mps2 = 2,0,0\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, "slope", "--config", str(cfg),
+             "--out", str(tmp_path / "slope.csv")], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        label, count = proc.stdout.splitlines()[-1].split()
+        assert label == "frozen" and int(count) > 0
+        assert (tmp_path / "slope.csv").exists()
+
+    def test_main_in_process_freezes_nothing(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("accel_mps2 = 2,0,0\n")
+        before = gc.get_freeze_count()
+        assert main(["slope", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_the_installed_script_is_the_module_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as handle:
+            script = tomllib.load(handle)["project"]["scripts"]["crossarray"]
+        tree = ast.parse(Path(cli.__file__).read_text())
+        guard = next(node for node in tree.body if isinstance(node, ast.If)
+                     and ast.unparse(node.test) == "__name__ == '__main__'")
+        [statement] = guard.body
+        assert script == f"crossarray.cli:{ast.unparse(statement.value.func)}"
+        assert callable(getattr(cli, script.split(":")[1]))
+
+
 class TestImportFootprint:
     """numpy.random costs a process about 6 MB and 19 modules, so only a
-    command that draws noise may load it."""
+    command that draws noise may load it; ``crossarray.demo`` serves only
+    the ``demo`` subcommand, so no other command loads it."""
 
     @staticmethod
-    def loads_numpy_random(*args) -> bool:
+    def loads(module, *args) -> bool:
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "crossarray.cli", *map(str, args)],
             capture_output=True, text=True)
         lines = proc.stderr.splitlines()
         assert proc.returncode == 0, lines[-5:]
         # -X importtime logs each module as it is first imported
-        return any(line.rsplit("|", 1)[-1].strip() == "numpy.random" for line in lines)
+        return any(line.rsplit("|", 1)[-1].strip() == module for line in lines)
+
+    @staticmethod
+    def command_args(tmp_path, command):
+        cfg = tmp_path / "sway.cfg"
+        cfg.write_text(ANALYZE_SWAY_CFG if command == "analyze" else SWAY_CFG)
+        config = [] if command == "demo" else ["--config", cfg]
+        return [*command.split(), *config, "--out-dir", tmp_path / "out"]
 
     @pytest.mark.parametrize("command", [
         "generate", "analyze", "detect --playback", "slope", "demo"])
     def test_noise_free_commands_do_not_load_it(self, tmp_path, command):
-        cfg = tmp_path / "sway.cfg"
-        cfg.write_text(ANALYZE_SWAY_CFG if command == "analyze" else SWAY_CFG)
-        config = [] if command == "demo" else ["--config", cfg]
-        assert not self.loads_numpy_random(*command.split(), *config,
-                                           "--out-dir", tmp_path / "out")
+        assert not self.loads("numpy.random", *self.command_args(tmp_path, command))
 
     def test_a_noisy_generate_loads_it(self, tmp_path):
         cfg = tmp_path / "noisy.cfg"
         cfg.write_text(SWAY_CFG + "noise_sigma_m = 0.001\n")
-        assert self.loads_numpy_random("generate", "--config", cfg,
-                                       "--out-dir", tmp_path / "out")
+        assert self.loads("numpy.random", "generate", "--config", cfg,
+                          "--out-dir", tmp_path / "out")
+
+    @pytest.mark.parametrize("command", [
+        "generate", "analyze", "detect", "detect --playback", "slope", "demo"])
+    def test_only_demo_loads_the_demo_module(self, tmp_path, command):
+        loaded = self.loads("crossarray.demo", *self.command_args(tmp_path, command))
+        assert loaded == (command == "demo")

@@ -57,25 +57,35 @@ def special_vectors():
             for i in range(k)]
 
 
-class TestPerAxisHelpers:
-    """Each helper returns the bits of the broadcast it stands in for."""
+class TestBroadcasts:
+    """The call sites broadcast an (n, 3) series against a 3-vector or an
+    (n,) series; on Fortran rows that keeps the order and the bits that
+    the same broadcast gives on C-ordered rows."""
+
+    @staticmethod
+    def assert_layout_free(op, a, b):
+        """``op`` of ``a`` and ``b`` in either order, with the (n, 3) ``a``
+        in both layouts."""
+        c_rows, f_rows = np.ascontiguousarray(a), np.asfortranarray(a)
+        for got, want in ((op(f_rows, b), op(c_rows, b)), (op(b, f_rows), op(b, c_rows))):
+            assert got.flags.f_contiguous and same_bits(got, want)
 
     @pytest.mark.parametrize("op", UFUNCS, ids=lambda op: op.__name__)
-    def test_each_row_matches_the_row_broadcast(self, op):
-        a = SPECIAL_ROWS
+    def test_row_broadcast_keeps_the_layout_and_bits(self, op):
         with np.errstate(all="ignore"):
             for v in special_vectors():
-                assert same_bits(kernels.each_row(op, a, v), op(a, v[None, :]))
-                assert same_bits(kernels.each_row(op, v, a), op(v[None, :], a))
+                self.assert_layout_free(op, SPECIAL_ROWS, v[None, :])
 
     @pytest.mark.parametrize("op", UFUNCS, ids=lambda op: op.__name__)
-    def test_each_column_matches_the_column_broadcast(self, op):
-        a = SPECIAL_ROWS
+    def test_column_broadcast_keeps_the_layout_and_bits(self, op):
         with np.errstate(all="ignore"):
             for shift in range(len(SPECIAL)):  # each row meets every value
-                s = np.roll(np.resize(SPECIAL, len(a)), shift)
-                assert same_bits(kernels.each_column(op, a, s), op(a, s[:, None]))
-                assert same_bits(kernels.each_column(op, s, a), op(s[:, None], a))
+                s = np.roll(np.resize(SPECIAL, len(SPECIAL_ROWS)), shift)
+                self.assert_layout_free(op, SPECIAL_ROWS, s[:, None])
+
+
+class TestPerAxisHelpers:
+    """Each helper returns the bits of the numpy call it stands in for."""
 
     def test_outer_matches_numpy(self):
         t = np.resize(SPECIAL, 41)
@@ -89,8 +99,7 @@ class TestPerAxisHelpers:
 
     def test_results_are_fresh_f_contiguous_arrays(self, random_inputs):
         a, v = random_inputs["series"], random_inputs["vel"][0]
-        for got in (kernels.each_row(np.add, a, v), kernels.each_column(np.add, a, a[:, 0]),
-                    kernels.outer(a[:, 0], v), kernels.tile_rows(v, 4),
+        for got in (kernels.outer(a[:, 0], v), kernels.tile_rows(v, 4),
                     kernels.cross(a, random_inputs["rel"])):
             assert got.flags.f_contiguous and got.flags.owndata
 
