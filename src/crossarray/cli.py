@@ -17,19 +17,14 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
 from .analysis import DEFAULT_TOLERANCE, slope_table
-from .detector import DetectorConfig, detect
+from .detector import DetectorConfig
 from .errors import ConfigError, CrossArrayError
 from .fileio import RunConfig, load_run_config
 from .generators import generate
-from .invariants import slope_invariant
-from .kinematics import ScenePoint, constant_acceleration_track
-from .observables import (constant_support, project_inertial, project_optics,
-                          tilted_support)
-from .pipeline import ScenarioRun, write_detection
+from .kinematics import ScenePoint
+from .pipeline import ScenarioRun, slope_estimate, write_detection
 
 ENV_OUT_DIR = "CROSSARRAY_OUT_DIR"
 
@@ -77,13 +72,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _scene_object(args) -> ScenePoint:
+    """The ``--object x,y,z`` that a recorded track is seen against."""
+    return ScenePoint(position=fileio.parse_value("--object", "vec3", args.object))
+
+
 def _load_track_and_object(args, run: RunConfig | None):
     if args.track:
         if args.object is None:
             raise ConfigError("--track also needs --object x,y,z")
-        track = fileio.read_track_csv(args.track)
-        position = fileio.parse_value("--object", "vec3", args.object)
-        return track, ScenePoint(position=position)
+        return fileio.read_track_csv(args.track), _scene_object(args)
     if run is None:
         raise ConfigError("either --config or --track is required")
     scenario = _require_scenario(run)
@@ -127,10 +125,9 @@ def cmd_detect(args) -> int:
         # one recording checked against itself is read once
         track_b = (track_a if _same_file(args.optics_from, args.inertial_from)
                    else fileio.read_track_csv(args.inertial_from))
-        position = fileio.parse_value("--object", "vec3", args.object)
-        optics = project_optics(track_a, ScenePoint(position=position))
-        report = detect(optics, project_inertial(track_b),
-                        run.detector if run else DetectorConfig())
+        recording = ScenarioRun("", track_a, _scene_object(args),
+                                detector=run.detector if run else DetectorConfig())
+        report = recording.against(track_b)
     else:
         if run is None:
             raise ConfigError("detect needs --config or --optics-from/--inertial-from")
@@ -146,17 +143,7 @@ def cmd_detect(args) -> int:
 
 def cmd_slope(args) -> int:
     run = load_run_config(args.config, args.command)
-    if run.scenario is not None:
-        track = generate(run.scenario)
-    else:
-        accel = run.accel if run.accel is not None else np.zeros(3)
-        track = constant_acceleration_track(run.grid, accel)
-    inertial = project_inertial(track, gravity=run.gravity)
-    if run.support_tilt_rad != 0.0:
-        support = tilted_support(track.grid, run.support_tilt_rad)
-    else:
-        support = constant_support(track.grid, run.support_normal)
-    slope = slope_invariant(inertial, support)
+    slope = slope_estimate(run)
     out = Path(args.out) if args.out else _out_dir(args, run) / "slope.csv"
     fileio.write_csv(out, slope_table(slope))
     print(out)

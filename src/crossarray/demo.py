@@ -11,7 +11,9 @@ through the pipeline once (``demo_runs``), as a ``pipeline.ScenarioRun``,
 and the checks and the artifact writers all read that run. The CLI
 ``demo`` subcommand prints the resulting table and writes every artifact
 under one output directory; the CLI ``analyze`` and ``detect``
-subcommands write theirs through the same ``ScenarioRun``.
+subcommands write theirs through the same ``ScenarioRun``. The slope
+check and ``slope.csv`` come from ``pipeline.slope_estimate``, which is
+also all the CLI ``slope`` subcommand computes.
 """
 
 from __future__ import annotations
@@ -24,16 +26,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import fileio
-from .analysis import DEFAULT_TOLERANCE, accuracy, slope_table
+from .analysis import slope_table
 from .detector import detect
+from .fileio import RunConfig
 from .generators import ScenarioConfig, generate
-from .invariants import (SlopeEstimate, optics_only_ratio, project_and_estimate,
-                         slope_invariant)
-from .kinematics import (TimeGrid, as_differentiated, constant_acceleration_track,
-                         differentiate)
-from .observables import (SupportStream, constant_support, project_inertial,
-                          tilted_support)
-from .pipeline import ScenarioRun, write_detection
+from .invariants import SlopeEstimate, optics_only_ratio
+from .kinematics import TimeGrid, as_differentiated, differentiate
+from .pipeline import ScenarioRun, slope_estimate, write_detection
 
 ANALYTIC_REL_TOL = 1e-6
 SUITE_SEED = 1000  # scenario i of the sway suite is seeded SUITE_SEED + i
@@ -86,7 +85,6 @@ SUITE_DRAWS = (
      (3.533184582526505, 3.1288140176795003, 0.17692639553214443),
      1.2283930148483757, 0.5183543588212879, -0.17716598083340493),
 )
-SLOPE_GRID = TimeGrid(sample_rate=100.0, n_samples=101)
 SLOPE_ACCEL = np.array([2.0, 0.0, 0.0])  # the accelerating case; also slope.csv
 
 
@@ -179,9 +177,8 @@ def check_exactness_3d(runs: DemoRuns) -> CheckResult:
         all_valid &= bool(valid.any())
         rel = np.abs(est.d_3d[valid] - est.d_true[valid]) / est.d_true[valid]
         worst_analytic = max(worst_analytic, float(np.max(rel, initial=0.0)))
-        _, _, fd_est = project_and_estimate(as_differentiated(run.track),
-                                            run.scene_object)
-        fd_acc = accuracy(fd_est, DEFAULT_TOLERANCE).estimators["d_3d"]
+        fd_acc = ScenarioRun(run.name, as_differentiated(run.track),
+                             run.scene_object).report.estimators["d_3d"]
         worst_fd_fraction = min(worst_fd_fraction,
                                 fd_acc.accurate_fraction if fd_acc else 0.0)
     elapsed = time.perf_counter() - runs.started
@@ -208,7 +205,7 @@ def check_1d_contrast(runs: DemoRuns) -> CheckResult:
 def check_regime_collapse(runs: DemoRuns) -> CheckResult:
     cfg = ScenarioConfig(kind="rectilinear", duration=2.0, sample_rate=100.0,
                          object_position=(6.0, 8.0, 0.0))
-    _, _, est = project_and_estimate(generate(cfg), cfg.scene_object)
+    est = run_scenario("", cfg).est
     both = est.valid_1d & est.valid_2d & est.valid_3d
     est_p = runs.canonical["planar_sway"].est
     est_o = runs.canonical["tangential_orbit"].est
@@ -231,18 +228,16 @@ def check_scale_ambiguity(runs: DemoRuns) -> CheckResult:
     worst_scaling = float(np.max(np.abs(ratio[valid] - d_over_v) / d_over_v))
     same_nan = True
     for k in (0.5, 2.0, 10.0):
-        scaled = demo_scenarios()["sway3d"].scaled(k)
-        optics_k, _, est_k = project_and_estimate(generate(scaled),
-                                                  scaled.scene_object)
+        run_k = run_scenario("", demo_scenarios()["sway3d"].scaled(k))
         for field in ("bearing", "alpha", "alpha_dot", "theta_dot", "q_norm"):
-            a, b = getattr(optics_k, field), getattr(base.optics, field)
+            a, b = getattr(run_k.optics, field), getattr(base.optics, field)
             if np.all(np.isnan(a)) and np.all(np.isnan(b)):
                 continue  # theta_dot on non-planar motion: invalid either way
             worst_optics = max(worst_optics, float(np.nanmax(np.abs(a - b))))
-        ratio_k = optics_only_ratio(optics_k)
+        ratio_k = optics_only_ratio(run_k.optics)
         same_nan &= np.array_equal(np.isnan(ratio_k), np.isnan(ratio))
-        for a, want in ((est_k.d_true, k * base.est.d_true),
-                        (est_k.d_3d, k * base.est.d_3d), (ratio_k, ratio)):
+        for a, want in ((run_k.est.d_true, k * base.est.d_true),
+                        (run_k.est.d_3d, k * base.est.d_3d), (ratio_k, ratio)):
             with np.errstate(invalid="ignore"):
                 rel = np.abs(a - want) / np.abs(want)
             worst_scaling = max(worst_scaling, float(np.nanmax(rel)))
@@ -253,21 +248,22 @@ def check_scale_ambiguity(runs: DemoRuns) -> CheckResult:
         f"distances rescale to {worst_scaling:.2e} relative")
 
 
-def _slope(accel: np.ndarray, support: SupportStream) -> SlopeEstimate:
-    track = constant_acceleration_track(SLOPE_GRID, accel)
-    return slope_invariant(project_inertial(track), support)
+def _slope(accel=None, tilt: float = 0.0) -> SlopeEstimate:
+    """``slope`` on a config with no ``kind``, ``duration_s = 1`` and
+    these ``accel_mps2`` and ``support_tilt_rad``: 101 samples at 100 Hz."""
+    return slope_estimate(RunConfig(scenario=None, duration=1.0, accel=accel,
+                                    support_tilt_rad=tilt))
 
 
 def check_slope(runs: DemoRuns) -> CheckResult:
-    level = constant_support(SLOPE_GRID)
-    err_level = float(np.max(np.abs(_slope(np.zeros(3), level).slope_angle)))
+    err_level = float(np.max(np.abs(_slope().slope_angle)))
 
     tilt = 0.17453  # 10 degrees to the printed precision
-    ramp = _slope(np.zeros(3), tilted_support(SLOPE_GRID, tilt)).slope_angle
+    ramp = _slope(tilt=tilt).slope_angle
     err_tilt = float(np.max(np.abs(ramp - tilt)))
     err_ten_deg = abs(float(ramp[0]) - np.deg2rad(10.0))
 
-    tilted = _slope(SLOPE_ACCEL, level).slope_angle
+    tilted = _slope(SLOPE_ACCEL).slope_angle
     err_accel = float(np.max(np.abs(tilted - np.arctan2(2.0, 9.81))))
     err_display = abs(float(tilted[0]) - 0.2013)
 
@@ -341,8 +337,7 @@ def run_demo(out_dir: Optional[Path] = None) -> List[CheckResult]:
             _write_scenario_artifacts(out_dir, run)
         fileio.write_json(out_dir / "sway_suite_accuracy.json",
                           {"reports": [run.report.to_json_dict() for run in runs.suite]})
-        fileio.write_csv(out_dir / "slope.csv",
-                         slope_table(_slope(SLOPE_ACCEL, constant_support(SLOPE_GRID))))
+        fileio.write_csv(out_dir / "slope.csv", slope_table(_slope(SLOPE_ACCEL)))
         fileio.write_json(out_dir / "summary.json", {
             "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                        for r in results]})

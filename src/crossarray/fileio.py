@@ -48,7 +48,7 @@ from .analysis import DEFAULT_TOLERANCE
 from .detector import DetectorConfig
 from .errors import ConfigError, InputShapeError
 from .generators import CUSTOM_SAMPLES, KIND_FIELDS, KINDS, ScenarioConfig
-from .kinematics import MIN_TRACK_SAMPLES, KinematicTrack, TimeGrid, samples_spanning
+from .kinematics import MIN_TRACK_SAMPLES, KinematicTrack, TimeGrid
 from .observables import DEFAULT_GRAVITY
 
 TRACK_HEADER = ["t", "px", "py", "pz", "vx", "vy", "vz", "ax", "ay", "az"]
@@ -463,20 +463,11 @@ class RunConfig:
     duration: float = 2.0
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ConfigError(f"duration must be > 0, got {self.duration}")
-        if not self.sample_rate > 0:
-            raise ConfigError(f"sample_rate must be > 0, got {self.sample_rate}")
-        n_samples = samples_spanning(self.duration, self.sample_rate)
-        if n_samples < 2:  # the fewest a TimeGrid holds
-            raise ConfigError(
-                f"duration {self.duration} s at sample_rate {self.sample_rate} Hz "
-                f"gives {n_samples} samples; a run needs at least 2")
+        self.grid  # checks duration, sample_rate and the sample count
 
     @property
-    def grid(self) -> TimeGrid:
-        return TimeGrid(sample_rate=self.sample_rate,
-                        n_samples=samples_spanning(self.duration, self.sample_rate))
+    def grid(self) -> TimeGrid:  # 2: the fewest samples a TimeGrid holds
+        return TimeGrid.spanning(self.duration, self.sample_rate, 2, "a run")
 
 
 def _scenario(kwargs: Dict[str, object], config_dir: Path) -> Optional[ScenarioConfig]:

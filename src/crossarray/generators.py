@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError
 from .kinematics import (MIN_TRACK_SAMPLES, KinematicTrack, ScenePoint, TimeGrid,
-                         from_positions, samples_spanning)
+                         from_positions)
 
 RECTILINEAR = "rectilinear"
 PLANAR_SWAY = "planar_sway"
@@ -83,29 +83,23 @@ class ScenarioConfig:
             if not np.isfinite(val):
                 raise ConfigError(f"{name} must be finite, got {val}")
             object.__setattr__(self, name, val)
-        if self.duration <= 0:
-            raise ConfigError(f"duration must be > 0, got {self.duration}")
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample_rate must be > 0, got {self.sample_rate}")
-        n_samples = self.grid.n_samples
-        if n_samples < MIN_TRACK_SAMPLES:  # every pipeline differentiates
-            raise ConfigError(
-                f"duration {self.duration} s at sample_rate {self.sample_rate} Hz "
-                f"gives {n_samples} samples; a track needs at least {MIN_TRACK_SAMPLES}")
+        self.grid  # checks duration, sample_rate and the sample count
         if np.any(self.amplitude < 0):
             raise ConfigError(f"amplitudes must be >= 0, got {self.amplitude}")
         if self.orbit_radius <= 0:
             raise ConfigError(f"orbit_radius must be > 0, got {self.orbit_radius}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.rng_seed < 0:  # numpy.random takes no negative seed
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.samples is not None:
             object.__setattr__(self, "samples",
                                np.asarray(self.samples, dtype=np.float64, order="F"))
 
     @property
-    def grid(self) -> TimeGrid:
-        return TimeGrid(sample_rate=self.sample_rate,
-                        n_samples=samples_spanning(self.duration, self.sample_rate))
+    def grid(self) -> TimeGrid:  # every pipeline differentiates the track
+        return TimeGrid.spanning(self.duration, self.sample_rate, MIN_TRACK_SAMPLES,
+                                 "a track")
 
     @property
     def scene_object(self) -> ScenePoint:

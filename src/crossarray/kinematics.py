@@ -17,20 +17,6 @@ from . import kernels
 MIN_TRACK_SAMPLES = 3  # the fewest samples ``differentiate`` takes
 
 
-def samples_spanning(duration: float, sample_rate: float) -> int:
-    """``round(duration * sample_rate) + 1``: the samples of a grid whose
-    first and last lie ``duration`` seconds apart. A count that is not
-    finite or exceeds the largest array index is a ``ConfigError``; one
-    that merely does not fit in memory fails when the arrays are made."""
-    count = duration * sample_rate
-    largest = np.iinfo(np.intp).max
-    if not np.isfinite(count) or round(count) + 1 > largest:
-        raise ConfigError(
-            f"duration {duration} s at sample_rate {sample_rate} Hz gives {count:.3g} "
-            f"samples; an array holds at most {largest}")
-    return round(count) + 1
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform sampling grid: sample k lies at ``t0 + k / sample_rate``."""
@@ -44,6 +30,28 @@ class TimeGrid:
             raise InputShapeError(f"sample_rate must be > 0, got {self.sample_rate}")
         if self.n_samples < 2:
             raise InsufficientDataError(f"need at least 2 samples, got {self.n_samples}")
+
+    @classmethod
+    def spanning(cls, duration, sample_rate, min_samples: int, holder: str) -> "TimeGrid":
+        """``round(duration * sample_rate) + 1`` samples, the first and last
+        ``duration`` seconds apart. A duration or rate that is not positive,
+        a count that is not finite or exceeds the largest array index, or
+        one under the ``min_samples`` that ``holder`` needs, is a
+        ``ConfigError``; a count too large for memory fails later."""
+        if not duration > 0:
+            raise ConfigError(f"duration must be > 0, got {duration}")
+        if not sample_rate > 0:
+            raise ConfigError(f"sample_rate must be > 0, got {sample_rate}")
+        count, largest = duration * sample_rate, np.iinfo(np.intp).max
+        given = f"duration {duration} s at sample_rate {sample_rate} Hz gives"
+        if not np.isfinite(count) or round(count) + 1 > largest:
+            raise ConfigError(f"{given} {count:.3g} samples; an array holds at most "
+                              f"{largest}")
+        n_samples = round(count) + 1
+        if n_samples < min_samples:
+            raise ConfigError(f"{given} {n_samples} samples; {holder} needs at least "
+                              f"{min_samples}")
+        return cls(sample_rate=sample_rate, n_samples=n_samples)
 
     @property
     def dt(self) -> float:

@@ -1,10 +1,12 @@
-"""One track through the pipeline, as ``cli`` and ``demo`` both run it.
+"""The pipeline, for one track or one slope run, as ``cli`` and ``demo`` run it.
 
 ``ScenarioRun`` takes a track and a scene object through optics,
 inertia, estimation, accuracy and detection, and renders the analysis
 artifacts; ``write_detection`` writes a detection report. The CLI's
 ``analyze`` and ``detect`` and every scenario of the demo go through
-them, so the bytes of one track's artifacts have one source. They live
+them, so the bytes of one track's artifacts have one source.
+``slope_estimate`` is the slope path: the CLI's ``slope``, the demo's
+``slope-invariant`` check and its ``slope.csv`` all call it. They live
 apart from ``demo`` so that a subcommand other than ``demo`` does not
 load the demo's scenarios, checks and tables. The stages are called
 through their defining modules, so a wrapper set on a module attribute,
@@ -20,11 +22,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from . import analysis, fileio, generators, invariants, observables
+from . import analysis, fileio, generators, invariants, kinematics, observables
 from . import detector as detection
 from .analysis import DEFAULT_TOLERANCE, REACH_THRESHOLD, AccuracyReport
 from .detector import DetectionReport, DetectorConfig
-from .invariants import DistanceEstimateSeries
+from .invariants import DistanceEstimateSeries, SlopeEstimate
 from .kinematics import KinematicTrack, ScenePoint
 from .observables import InertialStream, OpticalStream
 
@@ -70,8 +72,12 @@ class ScenarioRun:
     @cached_property
     def playback(self) -> DetectionReport:
         """The same optics replayed to a body holding still at the first sample."""
-        still = generators.make_playback(self.track, self.track.position[0]).stationary
-        return detection.detect(self.optics, observables.project_inertial(still),
+        return self.against(
+            generators.make_playback(self.track, self.track.position[0]).stationary)
+
+    def against(self, body: KinematicTrack) -> DetectionReport:
+        """These optics checked against the inertial stream of ``body``."""
+        return detection.detect(self.optics, observables.project_inertial(body),
                                 self.detector)
 
     def analysis_tables(self) -> Tuple[Dict[str, np.ndarray], dict]:
@@ -100,3 +106,21 @@ class ScenarioRun:
 
 def write_detection(path: Path, report: DetectionReport) -> None:
     fileio.write_json(path, detection.report_to_json_dict(report))
+
+
+def slope_estimate(run: fileio.RunConfig) -> SlopeEstimate:
+    """The slope a run describes: specific force on the scenario's track,
+    or on a constant-acceleration track on ``run.grid`` when there is no
+    scenario, against a support tilted by ``support_tilt_rad`` or held
+    at ``support_normal``."""
+    if run.scenario is not None:
+        track = generators.generate(run.scenario)
+    else:
+        accel = run.accel if run.accel is not None else np.zeros(3)
+        track = kinematics.constant_acceleration_track(run.grid, accel)
+    inertial = observables.project_inertial(track, gravity=run.gravity)
+    if run.support_tilt_rad != 0.0:
+        support = observables.tilted_support(track.grid, run.support_tilt_rad)
+    else:
+        support = observables.constant_support(track.grid, run.support_normal)
+    return invariants.slope_invariant(inertial, support)

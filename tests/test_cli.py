@@ -495,8 +495,10 @@ class TestConfigValues:
         ("detect", SWAY_CFG + "window_s = 0\n", "window_s"),
         ("slope", "duration_s = -1\n", "duration"),
         ("slope", "sample_rate_hz = 0\n", "sample_rate"),
+        ("generate", SWAY_CFG + "noise_sigma_m = 0.001\nrng_seed = -1\n", "rng_seed"),
     ], ids=["no-fire-fraction", "fire-fraction-above-1", "negative-spread",
-            "negative-flow", "zero-window", "negative-duration", "zero-rate"])
+            "negative-flow", "zero-window", "negative-duration", "zero-rate",
+            "negative-seed"])
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys,
                                                   command, config, name):
         cfg = tmp_path / "bad.cfg"
@@ -591,6 +593,34 @@ class TestFileMode:
         assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
+class TestOutDir:
+    """An artifact goes under ``--out-dir``, else the config's ``out_dir``,
+    else ``CROSSARRAY_OUT_DIR``, else ``./crossarray_out``."""
+
+    @pytest.mark.parametrize("flag, key, env, want", [
+        (True, True, "from_env", "from_flag"),
+        (False, True, "from_env", "from_config"),
+        (False, False, "from_env", "from_env"),
+        (False, False, "  ", "crossarray_out"),
+        (False, False, None, "crossarray_out"),
+    ], ids=["flag", "config", "environment", "blank-environment", "default"])
+    def test_each_source_yields_to_the_ones_before_it(
+            self, tmp_path, monkeypatch, capsys, flag, key, env, want):
+        monkeypatch.chdir(tmp_path)
+        if env is None:
+            monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+        else:
+            monkeypatch.setenv(cli.ENV_OUT_DIR, env)
+        cfg = tmp_path / "slope.cfg"
+        cfg.write_text("accel_mps2 = 2,0,0\n"
+                       + ("out_dir = from_config\n" if key else ""))
+        flags = ["--out-dir", "from_flag"] if flag else []
+        assert main(["slope", "--config", str(cfg), *flags]) == 0
+        assert capsys.readouterr().out == str(Path(want) / "slope.csv") + "\n"
+        assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == [want]
+        assert (tmp_path / want / "slope.csv").is_file()
+
+
 class TestUnreadFlags:
     """A flag that the chosen mode never reads is a usage error, as an
     unread config key is a config error."""
@@ -644,6 +674,8 @@ class TestDemo:
 
     def test_cli_writes_the_demo_scenario_bytes(self, tmp_path, sway_cfg,
                                                 sway_analyze_cfg):
+        """The subcommands write the demo's sway3d files, and ``slope`` its
+        ``slope.csv`` (the accelerating case), byte for byte."""
         demo = tmp_path / "demo"
         assert main(["demo", "--out-dir", str(demo)]) == 0
         out = tmp_path / "cli"
@@ -660,6 +692,11 @@ class TestDemo:
         assert sorted(p.name for p in out.iterdir()) == sorted(names)
         for name in names:
             assert (out / name).read_bytes() == (demo / "sway3d" / name).read_bytes(), name
+        slope_cfg = tmp_path / "slope.cfg"
+        slope_cfg.write_text("accel_mps2 = 2,0,0\nduration_s = 1\n")
+        assert main(["slope", "--config", str(slope_cfg),
+                     "--out", str(tmp_path / "slope.csv")]) == 0
+        assert (tmp_path / "slope.csv").read_bytes() == (demo / "slope.csv").read_bytes()
 
 
 class TestProcessEntry:
