@@ -53,7 +53,8 @@ def _column_accuracy(values, valid, truth, tolerance) -> Optional[EstimatorAccur
     n_valid = int(np.count_nonzero(valid))
     if n_valid == 0:
         return None
-    rel_err = np.abs(values[valid] - truth[valid]) / truth[valid]
+    truth = truth[valid]
+    rel_err = np.abs(values[valid] - truth) / truth
     return EstimatorAccuracy(
         valid_fraction=n_valid / n,
         accurate_fraction=float(np.count_nonzero(rel_err <= tolerance)) / n_valid,

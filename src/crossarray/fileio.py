@@ -20,7 +20,8 @@ then passes that file on in chunks. The text is byte-identical to a
 serial rendering. Rendering stays serial where ``os.fork`` does not
 exist, where the process may run on fewer than two CPUs, and while
 another Python thread is alive; a child that fails has its half
-rendered here instead.
+rendered here instead. Threads that Python did not start, such as an
+OpenBLAS worker, are not counted, and the child calls no BLAS.
 
 The run config is a flat ``key = value`` text file with units spelled
 out in key names (``speed_mps``, ``duration_s``). Unknown keys, and

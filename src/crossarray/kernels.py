@@ -10,13 +10,11 @@ reads is contiguous and numpy runs its loops with SIMD: at 40,001 rows,
 C-ordered rows, 24 bytes apart. Plain broadcasts such as
 ``rel / dist[:, None]`` and ``position - point`` keep the layout of the
 series they are given. Results have the same bits in either layout,
-except for three numpy operations whose summation order follows the
+except for two numpy operations whose summation order follows the
 layout; each is pinned:
 
 - row dot products use ``row_dot``, which keeps the order of
   ``np.einsum("ij,ij->i")`` on C-ordered rows;
-- ``observables._fit_plane`` gets its point cloud in C order, so that
-  ``mean(axis=0)`` adds the rows in order instead of pairwise;
 - ``theta_dot``'s matrix-vector product reads a C-ordered copy of the
   rotation series, as BLAS follows no fixed summation order.
 
@@ -140,34 +138,49 @@ def bearing_kinematics(rel: np.ndarray, dist: np.ndarray, vel: np.ndarray,
     return bearing, alpha, across / dist[:, None], across_norm / dist
 
 
+def _window_sums(v: np.ndarray, half_width: int) -> np.ndarray:
+    """Sum of ``v`` over [k - half_width, k + half_width] ∩ [0, n) for
+    each sample k, as ``c[hi] - c[lo]`` with ``c = [0, cumsum(v)]``.
+
+    Both terms are slices of ``c`` shifted by the half width, so no
+    index array is gathered; where the window is cut at the start,
+    ``c[lo]`` is the leading 0 and is not subtracted.
+    """
+    n = v.shape[0]
+    c = np.empty(n + 1, dtype=v.dtype)
+    c[0] = 0
+    np.cumsum(v, out=c[1:])
+    inner = max(n - half_width, 0)
+    out = np.empty(n, dtype=v.dtype)
+    out[:inner] = c[half_width + 1:]
+    out[inner:] = c[n]
+    out[half_width:] -= c[:inner]
+    return out
+
+
 def windowed_rel_std(x: np.ndarray, valid: np.ndarray, half_width: int,
                      min_count: int) -> np.ndarray:
     """std/|mean| of valid entries in a centered window around each sample.
 
     NaN where the window holds fewer than ``min_count`` valid entries.
+    The variance is ``E[x²] - E[x]²`` from running sums, clipped at 0.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     valid = np.ascontiguousarray(valid, dtype=np.bool_)
     half_width = int(half_width)
-    n = x.shape[0]
     xv = np.where(valid, x, 0.0)
-    c1 = np.concatenate(([0.0], np.cumsum(xv)))
-    c2 = np.concatenate(([0.0], np.cumsum(xv * xv)))
-    cn = np.concatenate(([0], np.cumsum(valid.astype(np.int64))))
-    k = np.arange(n)
-    lo = np.maximum(k - half_width, 0)
-    hi = np.minimum(k + half_width + 1, n)
-    cnt = cn[hi] - cn[lo]
-    s1 = c1[hi] - c1[lo]
-    s2 = c2[hi] - c2[lo]
-    out = np.full(n, np.nan)
-    ok = cnt >= int(min_count)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean = np.where(ok, s1 / np.maximum(cnt, 1), np.nan)
-        var = np.where(ok, s2 / np.maximum(cnt, 1) - mean * mean, np.nan)
-        var = np.where(var > 0.0, var, 0.0)
-        std = np.sqrt(var)
-        out = np.where(ok & (np.abs(mean) > 0.0), std / np.abs(mean), out)
-        # consistent zero-mean samples (e.g. identically zero window): spread 0
-        out = np.where(ok & (np.abs(mean) == 0.0) & (std == 0.0), 0.0, out)
+    cnt = _window_sums(valid.astype(np.int64), half_width)
+    s1 = _window_sums(xv, half_width)
+    s2 = _window_sums(xv * xv, half_width)
+    count = np.maximum(cnt, 1)
+    out = np.full(x.shape[0], np.nan)
+    with np.errstate(invalid="ignore"):
+        mean = s1 / count
+        var = s2 / count - mean * mean
+        std = np.sqrt(np.where(var > 0.0, var, 0.0))
+        abs_mean = np.abs(mean)
+        np.divide(std, abs_mean, out=out, where=abs_mean > 0.0)
+    # consistent zero-mean samples (e.g. identically zero window): spread 0
+    out[(abs_mean == 0.0) & (std == 0.0)] = 0.0
+    out[cnt < int(min_count)] = np.nan
     return out

@@ -21,6 +21,32 @@ def naive_windowed_rel_std(x, valid, half, min_count):
     return out
 
 
+def gathered_windowed_rel_std(x, valid, half_width, min_count):
+    """The spread kernel as index gathers: window sums ``c[hi] - c[lo]``
+    taken at index arrays, with the same arithmetic as the kernel."""
+    n = len(x)
+    xv = np.where(valid, x, 0.0)
+    c1 = np.concatenate(([0.0], np.cumsum(xv)))
+    c2 = np.concatenate(([0.0], np.cumsum(xv * xv)))
+    cn = np.concatenate(([0], np.cumsum(valid.astype(np.int64))))
+    k = np.arange(n)
+    lo = np.maximum(k - half_width, 0)
+    hi = np.minimum(k + half_width + 1, n)
+    cnt = cn[hi] - cn[lo]
+    s1 = c1[hi] - c1[lo]
+    s2 = c2[hi] - c2[lo]
+    out = np.full(n, np.nan)
+    ok = cnt >= min_count
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.where(ok, s1 / np.maximum(cnt, 1), np.nan)
+        var = np.where(ok, s2 / np.maximum(cnt, 1) - mean * mean, np.nan)
+        var = np.where(var > 0.0, var, 0.0)
+        std = np.sqrt(var)
+        out = np.where(ok & (np.abs(mean) > 0.0), std / np.abs(mean), out)
+        out = np.where(ok & (np.abs(mean) == 0.0) & (std == 0.0), 0.0, out)
+    return out
+
+
 @pytest.fixture
 def random_inputs():
     rng = np.random.default_rng(321)
@@ -180,3 +206,55 @@ class TestWindowedSemantics:
         valid = np.ones(50, dtype=bool)
         got = kernels.windowed_rel_std(x, valid, 5, 3)
         assert np.all(got == 0.0)
+
+
+class TestWindowedBits:
+    """The sliced window sums give the bits of the gathered ones."""
+
+    @staticmethod
+    def assert_same_bytes(x, valid, half_width, min_count):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = kernels.windowed_rel_std(x, valid, half_width, min_count)
+            want = gathered_windowed_rel_std(x, valid, half_width, min_count)
+        assert got.tobytes() == want.tobytes(), (len(x), half_width, min_count)
+
+    def test_seeded_inputs(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n = int(rng.integers(1, 400))
+            half_width = int(rng.integers(0, 60))
+            min_count = int(rng.integers(0, 2 * half_width + 4))
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 4) + rng.choice([0.0, 2.0, 1e4])
+            x[rng.random(n) < 0.05] = 0.0
+            valid = rng.random(n) < rng.uniform(0.0, 1.0)
+            self.assert_same_bytes(x, valid, half_width, min_count)
+
+    @pytest.mark.parametrize("n", [1, 2, 25, 26, 51, 52, 4001])
+    def test_stream_against_window_width(self, n):
+        # n <= half_width, n at and around 2 * half_width + 1, and longer
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n) + 3.0
+        self.assert_same_bytes(x, rng.random(n) > 0.2, 25, 5)
+
+    def test_no_valid_sample(self):
+        x = np.random.default_rng(1).normal(size=300)
+        self.assert_same_bytes(x, np.zeros(300, dtype=bool), 10, 0)
+        self.assert_same_bytes(x, np.zeros(300, dtype=bool), 10, 3)
+
+    def test_all_zero_windows(self):
+        x = np.zeros(300)
+        x[200:] = np.random.default_rng(2).normal(size=100)
+        self.assert_same_bytes(x, np.ones(300, dtype=bool), 10, 3)
+        x[150:] = -0.0
+        self.assert_same_bytes(x, np.ones(300, dtype=bool), 10, 3)
+
+    def test_min_count_above_the_window_width(self):
+        x = np.random.default_rng(3).normal(size=300) + 1.0
+        out = kernels.windowed_rel_std(x, np.ones(300, dtype=bool), 10, 22)
+        assert np.isnan(out).all()
+        self.assert_same_bytes(x, np.ones(300, dtype=bool), 10, 22)
+
+    def test_values_that_are_not_finite(self):
+        x = np.random.default_rng(4).normal(size=300) + 2.0
+        x[[40, 120, 121, 250]] = [np.inf, -np.inf, np.nan, 1e200]
+        self.assert_same_bytes(x, np.ones(300, dtype=bool), 10, 3)

@@ -104,6 +104,19 @@ class TestPinnedOperations:
         want = np.ascontiguousarray(omega) @ normal
         assert optics.theta_dot.tobytes() == want.tobytes()
 
+    def test_plane_fit_reads_either_layout(self, canonical):
+        # its mean adds each column in order, so the cloud's layout
+        # changes no bit of the decision or the normal
+        clouds = {name: np.vstack([generate(cfg).position, cfg.object_position])
+                  for name, cfg in (("sweep rectilinear", SWEEP_RECTILINEAR),
+                                    ("sway3d", canonical["sway3d"]))}
+        for name, points in clouds.items():
+            (c_planar, c_normal), (f_planar, f_normal) = (
+                _fit_plane(layout(points)) for layout in LAYOUTS)
+            assert c_planar == f_planar == (name == "sweep rectilinear"), name
+            if c_planar:
+                assert c_normal.tobytes() == f_normal.tobytes(), name
+
 
 def assert_fortran(**series):
     for name, value in series.items():

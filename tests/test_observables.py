@@ -163,6 +163,39 @@ class TestPlanarStructure:
         assert np.all(np.isnan(optics.theta_dot))
 
 
+def line_and_object_cloud():
+    """The exactly planar 40,002-point cloud of a rectilinear track and
+    its object, C-ordered as ``np.vstack`` builds it."""
+    direction = np.array([1.0, 2.0, -0.5]) / np.sqrt(5.25)
+    cfg = ScenarioConfig(kind="rectilinear", duration=400.0, sample_rate=100.0,
+                         start=np.array([0.1, -0.3, 0.2]), direction=direction,
+                         object_position=np.array([2.0, -0.5, -0.3]))
+    return np.vstack([generate(cfg).position, cfg.object_position[None, :]])
+
+
+def svd_fit(points):
+    """The plane fit without the scatter-matrix proof: the thin SVD of
+    the cloud centered by ``mean(axis=0)`` of its C-ordered rows."""
+    mean = np.ascontiguousarray(points).mean(axis=0)
+    _, s, vt = np.linalg.svd(np.subtract(points, mean, order="F"),
+                             full_matrices=False)
+    normal = vt[-1]
+    if normal[np.argmax(np.abs(normal))] < 0:
+        normal = -normal
+    return bool(s[-1] <= 1e-9 * s[0]), normal
+
+
+def cloud_with_ratio(n, ratio, seed):
+    """n points whose centered cloud has singular values near 1, 0.6 and
+    ``ratio``, in random axes, off the origin."""
+    rng = np.random.default_rng(seed)
+    spread = rng.normal(size=(n, 3))
+    u, _ = np.linalg.qr(spread - spread.mean(axis=0))
+    u -= u.mean(axis=0)
+    axes, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return (u * [1.0, 0.6, ratio]) @ axes.T + rng.uniform(-2.0, 2.0, 3)
+
+
 class TestPlaneFit:
     def test_exactly_planar_line_reads_planar(self):
         # collinear samples and one more point lie in one plane exactly
@@ -185,6 +218,47 @@ class TestPlaneFit:
         assert planar
         assert np.linalg.norm(normal) == pytest.approx(1.0, abs=1e-15)
         assert normal[np.argmax(np.abs(normal))] > 0
+
+    # the scatter-matrix proof of non-planarity only ever skips an SVD
+    # that would have read the cloud as not planar
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 40_002])
+    @pytest.mark.parametrize("ratio", [0.0, 1e-12, 5e-10, 2e-9, 1e-6, 1e-5, 1e-3, 0.5])
+    def test_agrees_with_the_svd(self, n, ratio):
+        for seed in range(3):
+            points = cloud_with_ratio(n, ratio, seed)
+            want_planar, want_normal = svd_fit(points)
+            planar, normal = _fit_plane(points)
+            assert planar == want_planar, (n, ratio, seed)
+            if planar:
+                assert normal.tobytes() == want_normal.tobytes(), (n, ratio, seed)
+            else:
+                assert normal is None
+
+    def test_both_sides_of_the_threshold_are_exercised(self):
+        # the clouds above straddle the SVD's 1e-9 threshold
+        assert svd_fit(cloud_with_ratio(40_002, 5e-10, 0))[0]
+        assert not svd_fit(cloud_with_ratio(40_002, 2e-9, 0))[0]
+
+    def test_exactly_planar_cloud_reaches_the_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert _fit_plane(line_and_object_cloud())[0]
+        assert len(calls) == 1
+        # a cloud the proof settles never calls it
+        assert not _fit_plane(cloud_with_ratio(40_002, 1e-3, 0))[0]
+        assert len(calls) == 1
+
+    def test_a_cloud_that_is_not_finite_still_raises_from_the_svd(self):
+        points = cloud_with_ratio(50, 0.5, 0)
+        points[7, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            _fit_plane(points)
 
 
 class TestStreamInvariants:
