@@ -19,7 +19,6 @@ from pathlib import Path
 
 from . import fileio
 from .analysis import DEFAULT_TOLERANCE, slope_table
-from .detector import DetectorConfig
 from .errors import ConfigError, CrossArrayError
 from .fileio import RunConfig, load_run_config
 from .generators import generate
@@ -40,10 +39,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _out_dir(args, run: RunConfig | None = None) -> Path:
-    if getattr(args, "out_dir", None):
+def _out_dir(args, run: RunConfig) -> Path:
+    if args.out_dir:
         return Path(args.out_dir)
-    if run is not None and run.out_dir:
+    if run.out_dir:
         return Path(run.out_dir)
     env = os.environ.get(ENV_OUT_DIR, "").strip()
     if env:
@@ -77,12 +76,17 @@ def _scene_object(args) -> ScenePoint:
     return ScenePoint(position=fileio.parse_value("--object", "vec3", args.object))
 
 
-def _load_track_and_object(args, run: RunConfig | None):
+def _run(args, mode: str) -> RunConfig:
+    """The run ``--config`` describes to ``mode``; without one, the defaults."""
+    return load_run_config(args.config, mode) if args.config else RunConfig(scenario=None)
+
+
+def _load_track_and_object(args, run: RunConfig):
     if args.track:
         if args.object is None:
             raise ConfigError("--track also needs --object x,y,z")
         return fileio.read_track_csv(args.track), _scene_object(args)
-    if run is None:
+    if not args.config:
         raise ConfigError("either --config or --track is required")
     scenario = _require_scenario(run)
     return generate(scenario), scenario.scene_object
@@ -92,10 +96,9 @@ def cmd_analyze(args) -> int:
     mode = "analyze --track" if args.track else args.command
     if args.object is not None and not args.track:
         raise _unread_flag("--object", mode, "analyze --track")
-    run = load_run_config(args.config, mode) if args.config else None
+    run = _run(args, mode)
     track, scene_object = _load_track_and_object(args, run)
-    tolerance = (args.tolerance if args.tolerance is not None
-                 else (run.tolerance if run else DEFAULT_TOLERANCE))
+    tolerance = args.tolerance if args.tolerance is not None else run.tolerance
     scenario_run = ScenarioRun(args.scenario_id, track, scene_object, tolerance)
     for path in scenario_run.write_analysis(_out_dir(args, run)):
         print(path)
@@ -116,7 +119,7 @@ def cmd_detect(args) -> int:
         raise _unread_flag("--playback", mode, "detect --config")
     if args.object is not None and not recorded:
         raise _unread_flag("--object", mode, "detect --optics-from")
-    run = load_run_config(args.config, mode) if args.config else None
+    run = _run(args, mode)
     if recorded:
         if not (args.optics_from and args.inertial_from and args.object):
             raise ConfigError("mismatched-source detection needs --optics-from, "
@@ -125,11 +128,10 @@ def cmd_detect(args) -> int:
         # one recording checked against itself is read once
         track_b = (track_a if _same_file(args.optics_from, args.inertial_from)
                    else fileio.read_track_csv(args.inertial_from))
-        recording = ScenarioRun("", track_a, _scene_object(args),
-                                detector=run.detector if run else DetectorConfig())
+        recording = ScenarioRun("", track_a, _scene_object(args), detector=run.detector)
         report = recording.against(track_b)
     else:
-        if run is None:
+        if not args.config:
             raise ConfigError("detect needs --config or --optics-from/--inertial-from")
         scenario = _require_scenario(run)
         scenario_run = ScenarioRun("", generate(scenario), scenario.scene_object,
@@ -153,7 +155,7 @@ def cmd_slope(args) -> int:
 def cmd_demo(args) -> int:
     from .demo import run_demo  # its scenarios, checks and tables serve only here
 
-    out_dir = _out_dir(args)
+    out_dir = _out_dir(args, RunConfig(scenario=None))
     results = run_demo(out_dir)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -83,8 +83,7 @@ def detect(optics: OpticalStream, inertial: InertialStream,
     # a window wider than the stream covers all of it from every sample
     half_width = min(config.window_s * optics.grid.sample_rate / 2.0, n)
     half_width = max(int(round(half_width)), 1)
-    residual_scale = kernels.windowed_rel_std(
-        np.where(valid, d_3d, 0.0), valid, half_width, MIN_WINDOW_VALID)
+    residual_scale = kernels.windowed_rel_std(d_3d, valid, half_width, MIN_WINDOW_VALID)
 
     if n < MIN_SAMPLES:
         return DetectionReport(VERDICT_INDETERMINATE, "", residual_flow,

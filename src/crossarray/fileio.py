@@ -25,9 +25,8 @@ OpenBLAS worker, are not counted, and the child calls no BLAS.
 
 The run config is a flat ``key = value`` text file with units spelled
 out in key names (``speed_mps``, ``duration_s``). Unknown keys, and
-keys that the subcommand or its mode does not read (``DESTINATIONS``,
-``TRACK_MODES``), are errors: a silently ignored key would invalidate a
-replication.
+keys that the subcommand or its mode does not read (``READS``), are
+errors: a silently ignored key would invalidate a replication.
 """
 
 from __future__ import annotations
@@ -352,19 +351,17 @@ _FLOAT, _INT, _VEC3, _STR = "float", "int", "vec3", "str"
 # where a value goes; the grid keys also sample a run that has no scenario
 _SCENARIO, _DETECTOR = ("scenario",), ("detector",)
 _TOLERANCE, _SLOPE, _OUTPUT = ("tolerance",), ("slope",), ("output",)
-_EVERY = ("generate", "analyze", "detect", "slope")
 
-DESTINATIONS = {  # destination: (the config it fills, the subcommands that read it)
-    "scenario": ("scenario", _EVERY),
-    "detector": ("detector", ("detect",)),
-    "tolerance": ("run", ("analyze",)),
-    "slope": ("run", ("slope",)),
-    "output": ("run", _EVERY),
-}
-# modes that read recorded tracks, not a scenario: the destinations they read
-TRACK_MODES = {
+# each mode: the destinations it reads. "scenario" and "detector" fill
+# those configs, every other destination fills ``RunConfig``. The track
+# modes read a recorded track and --object in place of a scenario
+READS = {
+    "generate": ("scenario", "output"),
+    "analyze": ("scenario", "tolerance", "output"),
     "analyze --track": ("tolerance", "output"),
+    "detect": ("scenario", "detector", "output"),
     "detect --optics-from": ("detector", "output"),
+    "slope": ("scenario", "slope", "output"),
 }
 
 CONFIG_KEYS = {  # key: (type, destinations, attribute)
@@ -416,33 +413,6 @@ def parse_value(key, kind, raw, where=""):
         raise ConfigError(f"{where}bad value for {key!r}: {exc}") from None
 
 
-def parse_config_text(text: str, path="<config>") -> Dict[str, object]:
-    """Parse a flat config file; unknown or duplicate keys are errors."""
-    values: Dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
-                              f"got {stripped!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = parse_value(key, CONFIG_KEYS[key][0], raw, f"{path}:{lineno}: ")
-    return values
-
-
-def load_config(path) -> Dict[str, object]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return parse_config_text(text, path=str(path))
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one reproducible run needs.
@@ -484,10 +454,28 @@ def _scenario(kwargs: Dict[str, object], config_dir: Path) -> Optional[ScenarioC
     return ScenarioConfig(**kwargs)
 
 
-def run_config_from_values(values: Dict[str, object], command: str,
-                           config_dir: Path = Path(".")) -> RunConfig:
-    """The run a config describes to ``command``, a subcommand or one of
-    its ``TRACK_MODES``, which must read every key the config holds."""
+def load_run_config(path, command: str) -> RunConfig:
+    """The run the config at ``path`` describes to ``command``, one of the
+    ``READS`` modes, which must read every key the config holds. Unknown
+    or duplicate keys are errors."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    values: Dict[str, object] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
+                              f"got {stripped!r}")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = parse_value(key, CONFIG_KEYS[key][0], raw, f"{path}:{lineno}: ")
     if "accel_mps2" in values and "kind" in values:
         raise ConfigError("'accel_mps2' contradicts 'kind': a scenario's "
                           "acceleration comes from its motion")
@@ -506,20 +494,15 @@ def run_config_from_values(values: Dict[str, object], command: str,
     if unread:
         raise ConfigError(f"{', '.join(map(repr, unread))} not read by "
                           f"'kind' = {kind}")
-    read = TRACK_MODES.get(command) or [
-        d for d, (_, commands) in DESTINATIONS.items() if command in commands]
-    unread = [key for key in values if not any(d in read for d in CONFIG_KEYS[key][1])]
+    unread = [key for key in values
+              if not any(d in READS[command] for d in CONFIG_KEYS[key][1])]
     if unread:
         raise ConfigError(f"{', '.join(map(repr, unread))} not read by '{command}'")
     kwargs = {"scenario": {}, "detector": {}, "run": {}}
     for key, value in values.items():
         _, destinations, attribute = CONFIG_KEYS[key]
         for destination in destinations:
-            kwargs[DESTINATIONS[destination][0]][attribute] = value
-    scenario = _scenario(kwargs["scenario"], config_dir)
+            kwargs.get(destination, kwargs["run"])[attribute] = value
+    scenario = _scenario(kwargs["scenario"], Path(path).parent)
     return RunConfig(scenario=scenario,
                      detector=DetectorConfig(**kwargs["detector"]), **kwargs["run"])
-
-
-def load_run_config(path, command: str) -> RunConfig:
-    return run_config_from_values(load_config(path), command, Path(path).parent)

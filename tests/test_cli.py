@@ -14,8 +14,8 @@ import pytest
 from crossarray import cli, fileio
 from crossarray.cli import main
 from crossarray.detector import DetectorConfig
-from crossarray.fileio import (CONFIG_KEYS, DESTINATIONS, RunConfig,
-                               read_csv_columns, read_track_csv, write_csv)
+from crossarray.fileio import (CONFIG_KEYS, READS, RunConfig, read_csv_columns,
+                               read_track_csv, write_csv)
 from crossarray.generators import KIND_FIELDS
 from crossarray.observables import EPS_RATE
 
@@ -351,9 +351,12 @@ class TestSlope:
 
 class TestConfigValues:
     def test_every_config_field_is_set_by_a_key(self):
+        def fills(destination):  # the config a destination's values go to
+            return destination if destination in ("scenario", "detector") else "run"
+
         def keyed(target):
             return {attribute for _, destinations, attribute in CONFIG_KEYS.values()
-                    if any(DESTINATIONS[d][0] == target for d in destinations)}
+                    if any(fills(d) == target for d in destinations)}
 
         assert not {f.name for f in fields(DetectorConfig)} - keyed("detector")
         assert not ({f.name for f in fields(RunConfig)} - {"scenario", "detector"}
@@ -426,7 +429,9 @@ class TestConfigValues:
         assert not out.exists()
 
     def test_every_key_is_read_by_some_subcommand(self):
-        readers = {key: {c for d in destinations for c in DESTINATIONS[d][1]}
+        subcommands = {mode: read for mode, read in READS.items() if " " not in mode}
+        readers = {key: {c for c, read in subcommands.items()
+                         if any(d in read for d in destinations)}
                    for key, (_, destinations, _) in CONFIG_KEYS.items()}
         assert all(readers.values())
         assert readers["tolerance_rel"] == {"analyze"}
