@@ -27,7 +27,6 @@ import numpy as np
 
 from . import fileio
 from .analysis import slope_table
-from .detector import detect
 from .fileio import RunConfig
 from .generators import ScenarioConfig, generate
 from .invariants import SlopeEstimate, optics_only_ratio
@@ -280,8 +279,8 @@ def check_detection(runs: DemoRuns) -> CheckResult:
     every = list(runs.canonical.values()) + runs.suite
     live = sum(run.live.verdict == "live" for run in every)
     simulated = sum(run.playback.verdict == "simulated" for run in every)
-    mismatch = detect(runs.canonical["sway3d"].optics,
-                      runs.canonical["planar_sway"].inertial).verdict
+    sway3d, planar = runs.canonical["sway3d"], runs.canonical["planar_sway"]
+    mismatch = sway3d.against(planar.track).verdict
     passed = live == simulated == len(every) and mismatch == "simulated"
     return CheckResult(
         "replay-detection", passed,

@@ -48,7 +48,7 @@ from .analysis import DEFAULT_TOLERANCE
 from .detector import DetectorConfig
 from .errors import ConfigError, InputShapeError
 from .generators import CUSTOM_SAMPLES, KIND_FIELDS, KINDS, ScenarioConfig
-from .kinematics import MIN_TRACK_SAMPLES, KinematicTrack, TimeGrid
+from .kinematics import MIN_TRACK_SAMPLES, KinematicTrack, TimeGrid, unit_vector
 from .observables import DEFAULT_GRAVITY
 
 TRACK_HEADER = ["t", "px", "py", "pz", "vx", "vy", "vz", "ax", "ay", "az"]
@@ -435,6 +435,7 @@ class RunConfig:
 
     def __post_init__(self):
         self.grid  # checks duration, sample_rate and the sample count
+        unit_vector(self.support_normal, "support_normal")  # checks its length
 
     @property
     def grid(self) -> TimeGrid:  # 2: the fewest samples a TimeGrid holds

@@ -18,10 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
 from .errors import ConfigError
 from .kinematics import (MIN_TRACK_SAMPLES, KinematicTrack, ScenePoint, TimeGrid,
-                         from_positions)
+                         from_positions, unit_vector)
 
 RECTILINEAR = "rectilinear"
 PLANAR_SWAY = "planar_sway"
@@ -139,7 +138,7 @@ def _sway(cfg: ScenarioConfig, t: np.ndarray, planar: bool, derivatives: bool):
     if planar:
         amp[2] = 0.0
     w = 2.0 * np.pi * cfg.frequency
-    arg = kernels.outer(t, w) + cfg.phase
+    arg = np.multiply(t[:, None], w, order="F") + cfg.phase
     sin = np.sin(arg)
     pos = cfg.start + amp * sin
     if not derivatives:
@@ -164,13 +163,10 @@ def generate(cfg: ScenarioConfig) -> KinematicTrack:
     vel = acc = None
 
     if cfg.kind == RECTILINEAR:
-        norm = np.linalg.norm(cfg.direction)
-        if norm == 0:
-            raise ConfigError("rectilinear direction must be nonzero")
-        unit = cfg.direction / norm
-        pos = cfg.start + cfg.speed * kernels.outer(t, unit)
+        unit = unit_vector(cfg.direction, "direction")
+        pos = cfg.start + cfg.speed * np.multiply(t[:, None], unit, order="F")
         if analytic:
-            vel = kernels.tile_rows(cfg.speed * unit, n)
+            vel = np.full((n, 3), cfg.speed * unit, order="F")
             acc = np.zeros((n, 3), order="F")
     elif cfg.kind == PLANAR_SWAY:
         pos, vel, acc = _sway(cfg, t, planar=True, derivatives=analytic)
@@ -199,9 +195,8 @@ def generate(cfg: ScenarioConfig) -> KinematicTrack:
 
     if not analytic:
         rng = np.random.default_rng(cfg.rng_seed)
-        noisy = np.empty((n, 3), order="F")
-        np.add(pos, rng.normal(0.0, cfg.noise_sigma, size=pos.shape), out=noisy)
-        return from_positions(grid, noisy)
+        noise = rng.normal(0.0, cfg.noise_sigma, size=pos.shape)
+        return from_positions(grid, np.add(pos, noise, order="F"))
     return KinematicTrack(grid=grid, position=pos, velocity=vel, acceleration=acc)
 
 
@@ -211,7 +206,7 @@ def make_playback(live: KinematicTrack, hold_position: np.ndarray) -> PlaybackPa
     n = live.grid.n_samples
     stationary = KinematicTrack(
         grid=live.grid,
-        position=kernels.tile_rows(hold, n),
+        position=np.full((n, 3), hold, order="F"),
         velocity=np.zeros((n, 3), order="F"),
         acceleration=np.zeros((n, 3), order="F"),
     )

@@ -113,13 +113,29 @@ class KinematicTrack:
             object.__setattr__(self, name, arr)
 
 
+def unit_vector(v, name: str, error=ConfigError) -> np.ndarray:
+    """``v / np.linalg.norm(v)`` for a 3-vector, with its bits.
+
+    Raises ``error`` about ``name`` where ``v · v`` is not a normal
+    float64: zero, short of bits by underflow (the quotient would miss
+    unit length) or overflowing. No floating-point warning is printed.
+    """
+    v = np.asarray(v, dtype=np.float64).reshape(3)
+    with np.errstate(all="ignore"):
+        square = v @ v
+    if not np.finfo(np.float64).tiny <= square < np.inf:
+        raise error(f"{name} must be between 1.5e-154 and 1.3e154 long, "
+                    f"got {v.tolist()}")
+    return v / np.sqrt(square)
+
+
 def constant_acceleration_track(grid: TimeGrid, accel) -> KinematicTrack:
     """Track starting at rest at the origin under a constant acceleration."""
     accel = np.asarray(accel, dtype=np.float64).reshape(3)
-    t = grid.times()
-    return KinematicTrack(grid=grid, position=0.5 * kernels.outer(t * t, accel),
-                          velocity=kernels.outer(t, accel),
-                          acceleration=kernels.tile_rows(accel, grid.n_samples))
+    t = grid.times()[:, None]
+    return KinematicTrack(grid=grid, position=0.5 * np.multiply(t * t, accel, order="F"),
+                          velocity=np.multiply(t, accel, order="F"),
+                          acceleration=np.full((grid.n_samples, 3), accel, order="F"))
 
 
 def differentiate(series: np.ndarray, grid: TimeGrid) -> np.ndarray:

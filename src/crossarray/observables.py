@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .errors import DegenerateGeometryError, GridAlignmentError, InputShapeError
 from .generators import PlaybackPair
-from .kinematics import KinematicTrack, ScenePoint, TimeGrid, differentiate
+from .kinematics import KinematicTrack, ScenePoint, TimeGrid, differentiate, unit_vector
 
 # validity thresholds, fixed; invariants.motion_masks applies them
 EPS_SPEED = 1e-6     # m/s at or below which the heading (and alpha) is undefined
@@ -175,14 +175,10 @@ def project_optics(track: KinematicTrack, scene_object: ScenePoint) -> OpticalSt
         omega = kernels.cross(bearing, didt)
         q_norm = kernels.row_norm(omega)
 
-    n = track.grid.n_samples
-    points = np.empty((n + 1, 3), order="F")
-    points[:n] = track.position
-    points[n] = scene_object.position
-    planar, normal = _fit_plane(points)
+    planar, normal = _fit_plane(np.vstack((track.position, scene_object.position)))
     # BLAS's matrix-vector product sums in an order that follows the layout
     theta_dot = (np.ascontiguousarray(omega) @ normal if planar
-                 else np.full(n, np.nan))
+                 else np.full(track.grid.n_samples, np.nan))
     return OpticalStream(
         grid=track.grid, bearing=bearing, alpha=alpha,
         alpha_dot=differentiate(alpha, track.grid), theta_dot=theta_dot,
@@ -213,11 +209,8 @@ def replay_optics(pair: PlaybackPair,
 
 def constant_support(grid: TimeGrid, normal=(0.0, 0.0, 1.0)) -> SupportStream:
     """Support stream with one fixed surface normal (normalized here)."""
-    n = np.asarray(normal, dtype=np.float64).reshape(3)
-    length = np.linalg.norm(n)
-    if length == 0:
-        raise InputShapeError("support normal must be nonzero")
-    return SupportStream(grid=grid, normal=kernels.tile_rows(n / length, grid.n_samples))
+    unit = unit_vector(normal, "normal", InputShapeError)
+    return SupportStream(grid=grid, normal=np.full((grid.n_samples, 3), unit, order="F"))
 
 
 def tilted_support(grid: TimeGrid, tilt_rad: float) -> SupportStream:

@@ -501,9 +501,16 @@ class TestConfigValues:
         ("slope", "duration_s = -1\n", "duration"),
         ("slope", "sample_rate_hz = 0\n", "sample_rate"),
         ("generate", SWAY_CFG + "noise_sigma_m = 0.001\nrng_seed = -1\n", "rng_seed"),
+        ("generate", RECT_CFG.replace("1,0,0", "1e200,1e200,0"), "direction"),
+        ("generate", RECT_CFG.replace("1,0,0", "1e-320,0,0"), "direction"),
+        ("generate", RECT_CFG.replace("1,0,0", "0,0,0"), "direction"),
+        ("slope", "support_normal = 1e200,1e200,0\n", "support_normal"),
+        ("slope", "support_normal = 1e-320,0,0\n", "support_normal"),
+        ("slope", "support_normal = 0,0,0\n", "support_normal"),
     ], ids=["no-fire-fraction", "fire-fraction-above-1", "negative-spread",
             "negative-flow", "zero-window", "negative-duration", "zero-rate",
-            "negative-seed"])
+            "negative-seed", "direction-overflows", "direction-underflows",
+            "zero-direction", "normal-overflows", "normal-underflows", "zero-normal"])
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys,
                                                   command, config, name):
         cfg = tmp_path / "bad.cfg"
@@ -511,6 +518,35 @@ class TestConfigValues:
         out = tmp_path / "out"
         assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {name} must be ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("generate", "kind sway3d\n",
+         "{cfg}:1: expected 'key = value', got 'kind sway3d'"),
+        ("generate", "kind = sway3d\nkind = sway3d\n", "{cfg}:2: duplicate key 'kind'"),
+        ("generate", "kind = warp\n", "bad value for 'kind': 'warp' (expected one of "
+         "rectilinear, planar_sway, sway3d, tangential_orbit, custom_samples)"),
+        ("generate", "kind = custom_samples\n",
+         "custom_samples scenario needs 'samples_csv'"),
+        ("generate", "kind = custom_samples\nsamples_csv = track.csv\nduration_s = 1\n",
+         "samples shape (401, 3) does not match grid (101, 3)"),
+        ("generate", "duration_s = 1\n", "config is missing required key 'kind'"),
+        ("analyze", "duration_s = 1\n", "config is missing required key 'kind'"),
+        ("detect", "duration_s = 1\n", "config is missing required key 'kind'"),
+    ], ids=["no-equals", "duplicate-key", "unknown-kind", "custom-without-samples",
+            "samples-off-the-grid", "generate-without-kind", "analyze-without-kind",
+            "detect-without-kind"])
+    def test_malformed_config_is_a_config_error(self, tmp_path, capsys, sway_cfg,
+                                                command, config, message):
+        # a 401-sample track for the samples_csv case
+        assert main(["generate", "--config", str(sway_cfg),
+                     "--out", str(tmp_path / "track.csv")]) == 0
+        capsys.readouterr()
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message.format(cfg=cfg)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "analyze", "detect",
@@ -658,6 +694,17 @@ class TestUnreadFlags:
 class TestUsage:
     def test_missing_sources_is_usage_error(self):
         assert main(["analyze"]) == 1
+
+    @pytest.mark.parametrize("sources, message", [
+        ([], "detect needs --config or --optics-from/--inertial-from"),
+        (["--optics-from", "track.csv", "--object", "2,0,0"],
+         "mismatched-source detection needs --optics-from, --inertial-from and --object"),
+    ], ids=["no-source", "optics-without-inertial"])
+    def test_detect_without_its_sources(self, tmp_path, capsys, sources, message):
+        out = tmp_path / "out"
+        assert main(["detect", *sources, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_unknown_flag(self):
         assert main(["generate", "--nope"]) == 1

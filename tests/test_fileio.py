@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossarray import fileio
-from crossarray.errors import ConfigError
+from crossarray.errors import ConfigError, InputShapeError
 from crossarray.fileio import (CSV_BLOCK_ROWS, CSV_FORK_ROWS, _read_csv_rows, csv_text,
                                read_csv_columns, read_track_csv, write_csv)
 
@@ -60,6 +60,26 @@ class TestErrors:
             with pytest.raises(ConfigError) as exc:
                 read_track_csv(short)
             assert str(exc.value) == f"{short}: a track needs at least 3 samples"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda header, rows: [header, *rows[::-1]],
+         "time column must be strictly increasing"),
+        (lambda header, rows: [header, rows[0], rows[2], rows[1], *rows[3:]],
+         "samples are not uniformly spaced"),
+        (lambda header, rows: [header.replace("az", "zz"), *rows],
+         "missing track columns ['az']"),
+    ], ids=["decreasing-t", "swapped-rows", "renamed-column"])
+    def test_track_message_names_the_file(self, tmp_path, edit, message):
+        header = "t,px,py,pz,vx,vy,vz,ax,ay,az"
+        rows = [f"{k / 100},{k / 100},0,0,1,0,0,0,0,0" for k in range(5)]
+        path = _write(tmp_path, "\n".join(edit(header, rows)) + "\n")
+        with pytest.raises(ConfigError) as exc:
+            read_track_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_columns_of_unequal_length_are_rejected(self):
+        with pytest.raises(InputShapeError, match="^column 'y' has mismatched length$"):
+            csv_text({"x": np.zeros(3), "y": np.zeros(2)})
 
 
 class TestAccepted:

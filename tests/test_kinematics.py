@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from crossarray import (InputShapeError, InsufficientDataError, KinematicTrack,
                         TimeGrid, differentiate)
+from crossarray.kinematics import unit_vector
 
 
 def grid(rate=100.0, n=201):
@@ -90,3 +91,15 @@ class TestDifferentiate:
     def test_too_few_samples_raises(self):
         with pytest.raises(InsufficientDataError):
             differentiate(np.zeros((2, 3)), TimeGrid(sample_rate=10.0, n_samples=2))
+
+
+class TestUnitVector:
+    def test_keeps_the_bits_of_dividing_by_the_norm(self):
+        rng = np.random.default_rng(5)
+        scales = 10.0 ** rng.uniform(-150, 150, size=(2000, 1))
+        vectors = rng.normal(size=(2000, 3)) * scales
+        vectors[::7, 1] = -0.0
+        edges = np.array([[1.5e-154, 0.0, 0.0], [0.0, -1.3e154, 0.0]])
+        for v in [*vectors, *edges]:
+            want = v / np.linalg.norm(v)
+            assert unit_vector(v, "v").tobytes() == want.tobytes()

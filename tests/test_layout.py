@@ -9,7 +9,7 @@ import pytest
 
 from crossarray import (ScenarioConfig, constant_support, detect, estimate_all,
                         generate, kernels, make_playback, project_inertial,
-                        project_optics, slope_invariant)
+                        project_optics, slope_invariant, tilted_support)
 from crossarray.fileio import read_track_csv, write_track_csv
 from crossarray.kinematics import (KinematicTrack, as_differentiated,
                                    constant_acceleration_track, differentiate)
@@ -149,10 +149,15 @@ class TestFortranOrder:
         live = generate(canonical["sway3d"])
         still = make_playback(live, live.position[0]).stationary
         accelerating = constant_acceleration_track(live.grid, (1.0, 0.0, 0.0))
-        assert_fortran(position=still.position, velocity=still.velocity,
-                       acceleration=still.acceleration,
-                       accelerating=accelerating.position,
-                       normal=constant_support(live.grid).normal)
+        series = dict(position=still.position, velocity=still.velocity,
+                      acceleration=still.acceleration,
+                      accelerating_position=accelerating.position,
+                      accelerating_velocity=accelerating.velocity,
+                      accelerating_acceleration=accelerating.acceleration,
+                      normal=constant_support(live.grid).normal,
+                      tilted_normal=tilted_support(live.grid, 0.2).normal)
+        assert_fortran(**series)
+        assert [name for name, value in series.items() if not value.flags.owndata] == []
 
     def test_read_track_csv(self, canonical, tmp_path):
         path = tmp_path / "track.csv"

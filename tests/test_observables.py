@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossarray import (DegenerateGeometryError, ScenarioConfig, generate,
-                        make_playback, project_inertial, project_optics,
-                        replay_optics)
+from crossarray import (DegenerateGeometryError, InputShapeError, ScenarioConfig,
+                        TimeGrid, constant_support, generate, make_playback,
+                        project_inertial, project_optics, replay_optics)
 from crossarray.observables import _fit_plane
 
 
@@ -296,3 +296,11 @@ class TestValidityAndErrors:
                              object_position=(0.0, 2.0, 0.0))
         optics = project_optics(generate(cfg), cfg.scene_object)
         assert np.all(np.isnan(optics.alpha))
+
+    @pytest.mark.parametrize("normal", [(0.0, 0.0, 0.0), (1e-320, 0.0, 0.0),
+                                        (1e-160, 0.0, 0.0), (1e200, 1e200, 0.0)],
+                             ids=["zero", "subnormal", "underflowing", "overflowing"])
+    def test_support_normal_whose_length_is_lost_is_rejected(self, normal):
+        # no warning either: the suite turns warnings into errors
+        with pytest.raises(InputShapeError, match=r"^normal must be between"):
+            constant_support(TimeGrid(sample_rate=100.0, n_samples=5), normal)
