@@ -130,12 +130,11 @@ def slope_table(slope: SlopeEstimate) -> Dict[str, np.ndarray]:
 def exploration_summary(track: KinematicTrack) -> dict:
     """The ``exploration`` section of accuracy.json: movement descriptors
     that covary with how much information motion makes."""
-    speed = kernels.row_norm(track.velocity)
     accel = kernels.row_norm(track.acceleration)
     return {
         "amplitude_m": np.ptp(track.position, axis=0).tolist(),
-        "mean_speed_mps": float(speed.mean()),
-        "max_speed_mps": float(speed.max()),
+        "mean_speed_mps": float(track.speed.mean()),
+        "max_speed_mps": float(track.speed.max()),
         "mean_accel_mps2": float(accel.mean()),
         "max_accel_mps2": float(accel.max()),
     }

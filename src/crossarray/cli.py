@@ -168,6 +168,14 @@ def cmd_demo(args) -> int:
     return 0 if not failed else 2
 
 
+def _add_out(parser: argparse.ArgumentParser, out_help: str) -> None:
+    """``--out`` names the file in full, so an ``--out-dir`` beside it is
+    an error: it would go unread."""
+    out = parser.add_mutually_exclusive_group()
+    out.add_argument("--out", help=out_help)
+    out.add_argument("--out-dir")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="crossarray",
                      description="Simulate and analyze cross-sense distance, "
@@ -176,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="synthesize a track CSV from a config")
     p_gen.add_argument("--config", required=True)
-    p_gen.add_argument("--out", help="track CSV path (default <out-dir>/track.csv)")
-    p_gen.add_argument("--out-dir")
+    _add_out(p_gen, "track CSV path (default <out-dir>/track.csv)")
     p_gen.set_defaults(func=cmd_generate)
 
     p_an = sub.add_parser("analyze",
@@ -198,14 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--optics-from", help="track CSV supplying the optics")
     p_det.add_argument("--inertial-from", help="track CSV supplying the inertial stream")
     p_det.add_argument("--object", help="object position x,y,z (with --optics-from)")
-    p_det.add_argument("--out", help="report JSON path")
-    p_det.add_argument("--out-dir")
+    _add_out(p_det, "report JSON path")
     p_det.set_defaults(func=cmd_detect)
 
     p_sl = sub.add_parser("slope", help="slope/orientation invariant CSV")
     p_sl.add_argument("--config", required=True)
-    p_sl.add_argument("--out", help="slope CSV path")
-    p_sl.add_argument("--out-dir")
+    _add_out(p_sl, "slope CSV path")
     p_sl.set_defaults(func=cmd_slope)
 
     p_demo = sub.add_parser("demo",

@@ -79,6 +79,7 @@ def detect(optics: OpticalStream, inertial: InertialStream,
     residual_flow = np.where(~moving & resolvable, optics.q_norm, 0.0)
 
     d_3d = estimate_distance_3d(optics, inertial)
+    # mismatched optics can be still (alpha NaN) where this body moves
     valid = moving & resolvable & np.isfinite(d_3d)
     # a window wider than the stream covers all of it from every sample
     half_width = min(config.window_s * optics.grid.sample_rate / 2.0, n)
@@ -102,8 +103,8 @@ def detect(optics: OpticalStream, inertial: InertialStream,
         verdict, rule = VERDICT_SIMULATED, "flow-without-motion"
     elif scale_fire is not None and scale_fire >= config.fire_fraction:
         verdict, rule = VERDICT_SIMULATED, "scale-inconsistency"
-    elif scale_fire is None and flow_fire == 0.0 and not np.any(moving & resolvable):
-        # nothing moved and nothing flowed: a still scene cannot be classified
+    elif scale_fire is None and flow_fire == 0.0:
+        # no window could be evaluated and nothing flowed: nothing to decide on
         verdict, rule = VERDICT_INDETERMINATE, ""
     else:
         verdict, rule = VERDICT_LIVE, ""

@@ -117,10 +117,12 @@ def estimator_validity(optics: OpticalStream, inertial: InertialStream):
     with np.errstate(invalid="ignore"):
         rate_1d = np.abs(optics.alpha_dot) >= EPS_RATE
         rate_2d = np.abs(optics.theta_dot) >= EPS_RATE
+    # d_1d, d_2d and d_3d read sin(alpha), NaN where the optics' track is still
+    heading = moving & np.isfinite(optics.alpha)
     return {
-        "d_1d": moving & np.isfinite(optics.alpha) & rate_1d,
-        "d_2d": moving & rate_2d,
-        "d_3d": moving & resolvable,
+        "d_1d": heading & rate_1d,
+        "d_2d": heading & rate_2d,
+        "d_3d": heading & resolvable,
         "d_tan": moving & resolvable,
     }
 

@@ -94,18 +94,19 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def bearing_kinematics(rel: np.ndarray, dist: np.ndarray, vel: np.ndarray,
-                       eps_speed: float, chain_rule: bool):
+                       chain_rule: bool):
     """Per-sample bearing geometry for relative positions ``rel`` (n, 3)
     at distances ``dist`` (n,), ``sqrt(row_dot(rel, rel))``.
 
     Returns (unit bearing, angle between object direction and heading,
     rotational vector, its norm). The angle is the atan2 of the
     velocity's components across and along the bearing, so it keeps
-    full precision near 0 and pi, and it is NaN where the speed is at
-    or below ``eps_speed``. With ``chain_rule`` the rotation
-    bearing x d(bearing)/dt comes from the chain rule on ``vel``, which
-    reduces to (bearing x vel) / |rel|, so it is exact whenever the
-    velocity series is; without it the last two are None.
+    full precision near 0 and pi. It is not masked: where the body is
+    still it is the atan2 of near-zero parts, and the caller, which
+    holds the body's speed, sets it to NaN there. With ``chain_rule``
+    the rotation bearing x d(bearing)/dt comes from the chain rule on
+    ``vel``, which reduces to (bearing x vel) / |rel|, so it is exact
+    whenever the velocity series is; without it the last two are None.
     """
     rel = np.asarray(rel, dtype=np.float64)
     vel = np.asarray(vel, dtype=np.float64)
@@ -113,8 +114,7 @@ def bearing_kinematics(rel: np.ndarray, dist: np.ndarray, vel: np.ndarray,
     radial = row_dot(bearing, vel)
     across = cross(bearing, vel)
     across_norm = np.sqrt(row_dot(across, across))
-    speed = np.sqrt(row_dot(vel, vel))
-    alpha = np.where(speed > float(eps_speed), np.arctan2(across_norm, -radial), np.nan)
+    alpha = np.arctan2(across_norm, -radial)
     if not chain_rule:
         return bearing, alpha, None, None
     return bearing, alpha, across / dist[:, None], across_norm / dist

@@ -8,6 +8,7 @@ SI (meters, seconds, radians) throughout; no unit parameterization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,6 +112,12 @@ class KinematicTrack:
                 raise InputShapeError(
                     f"{name} must be finite; sample {k} is {arr[k].tolist()}")
             object.__setattr__(self, name, arr)
+
+    @cached_property
+    def speed(self) -> np.ndarray:
+        """|velocity| per sample, in m/s: the inertial stream's speed, and the
+        one speed ``EPS_SPEED`` decides stillness on, for optics and inertia."""
+        return kernels.row_norm(self.velocity)
 
 
 def unit_vector(v, name: str, error=ConfigError) -> np.ndarray:

@@ -30,7 +30,7 @@ from .errors import DegenerateGeometryError, GridAlignmentError, InputShapeError
 from .generators import PlaybackPair
 from .kinematics import KinematicTrack, ScenePoint, TimeGrid, differentiate, unit_vector
 
-# validity thresholds, fixed; invariants.motion_masks applies them
+# validity thresholds, fixed; EPS_SPEED applies to KinematicTrack.speed
 EPS_SPEED = 1e-6     # m/s at or below which the heading (and alpha) is undefined
 EPS_RATE = 1e-6      # rad/s below which angular rates cannot be inverted
 MIN_SEPARATION = 1e-9  # m; object closer than this to the track is degenerate
@@ -44,7 +44,7 @@ class OpticalStream:
 
     grid: TimeGrid
     bearing: np.ndarray        # (n, 3) unit vectors, object -> observer
-    alpha: np.ndarray          # (n,) rad, NaN where speed <= EPS_SPEED
+    alpha: np.ndarray          # (n,) rad, NaN where track.speed <= EPS_SPEED
     alpha_dot: np.ndarray      # (n,) rad/s, finite-differenced from alpha
     theta_dot: np.ndarray      # (n,) rad/s signed, NaN unless motion is planar
     q_norm: np.ndarray         # (n,) rad/s, norm of bearing x d(bearing)/dt
@@ -169,7 +169,9 @@ def project_optics(track: KinematicTrack, scene_object: ScenePoint) -> OpticalSt
             f"(min separation {np.sqrt(dist_sq.min()):.3g} m)")
 
     bearing, alpha, omega, q_norm = kernels.bearing_kinematics(
-        rel, np.sqrt(dist_sq), track.velocity, EPS_SPEED, chain_rule=track.analytic)
+        rel, np.sqrt(dist_sq), track.velocity, chain_rule=track.analytic)
+    # no heading where the body is still: the speed the inertial stream reports
+    alpha[track.speed <= EPS_SPEED] = np.nan
     if not track.analytic:
         didt = differentiate(bearing, track.grid)
         omega = kernels.cross(bearing, didt)
@@ -189,9 +191,8 @@ def project_inertial(track: KinematicTrack,
                      gravity: np.ndarray = DEFAULT_GRAVITY) -> InertialStream:
     """Project a trajectory into the body's inertial stream."""
     gravity = np.asarray(gravity, dtype=np.float64).reshape(3)
-    speed = kernels.row_norm(track.velocity)
-    specific_force = gravity - track.acceleration
-    return InertialStream(grid=track.grid, speed=speed, specific_force=specific_force)
+    return InertialStream(grid=track.grid, speed=track.speed,
+                          specific_force=gravity - track.acceleration)
 
 
 def replay_optics(pair: PlaybackPair,

@@ -42,6 +42,23 @@ object_m = 6,8,0
 """
 
 
+# a body at EPS_SPEED to within an ulp: row_norm gives 1.0000000000000002e-06
+# for its velocity, the square root of its dot product 1e-06
+CREEPING_CFG = """\
+kind = rectilinear
+direction = 0.254,1.225,-0.298
+speed_mps = 1e-6
+object_m = 3e-6,4e-6,0
+"""
+
+
+def strict_json(path: Path):
+    """The JSON at ``path``; NaN and Infinity, which are not JSON, raise."""
+    def reject(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 @pytest.fixture
 def sway_cfg(tmp_path):
     path = tmp_path / "sway.cfg"
@@ -126,6 +143,22 @@ class TestAnalyze:
         payload = json.loads((out / "accuracy.json").read_text())
         for name in ("d_1d", "d_2d", "d_3d"):
             assert payload["estimators"][name]["accurate_fraction"] == 1.0
+
+    def test_speed_within_an_ulp_of_the_threshold(self, tmp_path):
+        """Optics and inertia read one speed, so no valid sample lacks its
+        alpha: every d_3d flagged valid is a number, and accuracy.json
+        holds no NaN."""
+        cfg = tmp_path / "creeping.cfg"
+        cfg.write_text(CREEPING_CFG)
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        payload = strict_json(out / "accuracy.json")
+        columns = read_csv_columns(out / "timeline.csv")
+        valid = columns["valid_3d"] == 1
+        assert valid.all()
+        assert np.all(np.isfinite(columns["d_3d"][valid]))
+        assert np.all(np.isfinite(columns["alpha"][valid]))
+        assert payload["estimators"]["d_3d"]["accurate_fraction"] == 1.0
 
     def test_track_round_trip_matches_in_memory_pipeline(
             self, tmp_path, sway_cfg):
@@ -690,6 +723,21 @@ class TestUnreadFlags:
             f"error: '--object' not read by '{command}': only '{reader}' reads it\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "detect", "slope"])
+    def test_out_with_out_dir(self, tmp_path, sway_cfg, capsys, command):
+        """``--out`` names the file, so an ``--out-dir`` beside it would go
+        unread."""
+        cfg = sway_cfg
+        if command == "slope":
+            cfg = tmp_path / "slope.cfg"
+            cfg.write_text("accel_mps2 = 2,0,0\nduration_s = 1\n")
+        out, out_dir = tmp_path / "file.out", tmp_path / "d"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: argument --out-dir: not allowed with argument --out\n")
+        assert not out.exists() and not out_dir.exists()
+
 
 class TestUsage:
     def test_missing_sources_is_usage_error(self):
@@ -723,6 +771,15 @@ class TestDemo:
         assert (out / "summary.json").exists()
         assert (out / "sway3d" / "timeline.csv").exists()
         assert (out / "slope.csv").exists()
+
+    def test_every_json_is_strict(self, tmp_path):
+        """Every JSON file the demo writes parses without NaN or Infinity."""
+        out = tmp_path / "demo"
+        assert main(["demo", "--out-dir", str(out)]) == 0
+        paths = sorted(out.rglob("*.json"))
+        assert len(paths) > 1
+        for path in paths:
+            strict_json(path)
 
     def test_cli_writes_the_demo_scenario_bytes(self, tmp_path, sway_cfg,
                                                 sway_analyze_cfg):

@@ -73,6 +73,20 @@ class TestIndeterminate:
         assert np.array_equal(report.residual_flow, optics.q_norm * still)
         assert np.all(np.isnan(report.residual_scale)) == still
 
+    def test_no_evaluable_window_and_no_flow(self):
+        """Still optics (alpha NaN) against a moving body: no window holds a
+        distance and nothing flows, so there is nothing to decide on."""
+        obj = (0.0, 0.5, 0.0)
+        creeping = ScenarioConfig(kind="rectilinear", speed=0.9e-6, object_position=obj)
+        optics = project_optics(generate(creeping), creeping.scene_object)
+        inertial = project_inertial(generate(ScenarioConfig(kind="rectilinear")))
+        report = detect(optics, inertial)
+        assert np.all(optics.q_norm >= EPS_RATE)
+        assert report.verdict == "indeterminate"
+        assert report.rule_fired == ""
+        assert report.flow_fire_fraction == 0.0
+        assert report.scale_fire_fraction is None
+
     def test_motionless_scene_cannot_be_classified(self):
         cfg = ScenarioConfig(kind="rectilinear", speed=0.0, duration=1.0,
                              object_position=(0.0, 3.0, 0.0))

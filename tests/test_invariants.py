@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,15 @@ from crossarray import (ScenarioConfig, constant_support, estimate_all,
                         optics_only_ratio, project_and_estimate,
                         project_inertial, project_optics, replay_optics,
                         slope_invariant, tilted_support)
+from crossarray.analysis import accuracy
+from crossarray.fileio import json_text
 from crossarray.invariants import EPS_FORCE
 from crossarray.kinematics import KinematicTrack, TimeGrid, as_differentiated
 from crossarray.observables import DEFAULT_GRAVITY, EPS_RATE, EPS_SPEED
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def pipeline(cfg):
@@ -295,6 +303,28 @@ class TestCombinedSeries:
                 off = ~est.valid_3d
                 assert np.all(est.d_3d[off & still_flow] == 0.0)
                 assert np.all(np.isnan(est.d_3d[off & ~still_flow]))
+
+    def test_still_optics_leave_no_valid_nan(self):
+        """Optics of a body creeping at 0.9 um/s (alpha NaN: its heading is
+        undefined) but rotating measurably 0.5 m from the object, paired
+        with the inertial stream of a 1 m/s body: every estimate that
+        reads sin(alpha) is invalid, and no valid sample is NaN."""
+        obj = (0.0, 0.5, 0.0)
+        creeping = ScenarioConfig(kind="rectilinear", speed=0.9e-6, object_position=obj)
+        optics = project_optics(generate(creeping), creeping.scene_object)
+        walking = generate(ScenarioConfig(kind="rectilinear", speed=1.0))
+        est = estimate_all(optics, project_inertial(walking), walking,
+                           creeping.scene_object)
+        assert np.all(np.isnan(optics.alpha))
+        assert np.all(optics.q_norm >= EPS_RATE)
+        assert not (est.valid_1d.any() or est.valid_2d.any() or est.valid_3d.any())
+        assert est.valid_tan.all()
+        for name, (values, mask) in est.by_name().items():
+            assert np.all(np.isfinite(values[mask])), name
+        report = accuracy(est)
+        assert report.estimators["d_2d"] is None
+        assert report.estimators["d_3d"] is None
+        json.loads(json_text(report.to_json_dict()), parse_constant=_reject_constant)
 
     def test_d2_column_absent_for_nonplanar_motion(self, sway3d_cfg):
         _, _, _, est = pipeline(sway3d_cfg)

@@ -1,11 +1,13 @@
 """Properties checked over generated inputs: scale covariance of the
-pipeline on every motion kind, and bit-exact JSON round trips."""
+pipeline on every motion kind, one speed for optics and inertia, and
+bit-exact JSON round trips."""
 
 import json
 import struct
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,6 +18,8 @@ from crossarray.demo import demo_scenarios
 from crossarray.detector import report_to_json_dict
 from crossarray.fileio import json_text, write_json
 from crossarray.generators import CUSTOM_SAMPLES, KINDS, SWAY3D
+from crossarray.kinematics import KinematicTrack, ScenePoint, TimeGrid
+from crossarray.observables import EPS_SPEED, project_inertial, project_optics
 
 
 def scenario(kind: str, sigma: float, seed: int) -> ScenarioConfig:
@@ -52,6 +56,34 @@ class TestScaleCovariance:
         both = est.valid_3d & est_k.valid_3d
         rel = np.abs(est_k.d_3d[both] - k * est.d_3d[both]) / (k * est.d_3d[both])
         assert np.max(rel, initial=0.0) <= 1e-9
+
+
+class TestOneSpeed:
+    @pytest.mark.parametrize("analytic", [True, False])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_alpha_is_undefined_exactly_where_the_body_is_still(self, seed, analytic):
+        """Random headings at speeds within 4 ulp of ``EPS_SPEED``, where
+        two ways of summing the squares of a velocity disagree on one
+        heading in a hundred: the optics lose alpha exactly where the
+        inertial stream reports the body still."""
+        rng = np.random.default_rng(seed)
+        n = 20_000
+        heading = rng.normal(size=(n, 3))
+        heading /= np.linalg.norm(heading, axis=1)[:, None]
+        ulps = rng.integers(-4, 5, size=n)
+        speed = EPS_SPEED + ulps * np.spacing(EPS_SPEED)
+        around = rng.normal(size=(n, 3))
+        position = around * rng.uniform(0.5, 2.0, size=(n, 1))
+        track = KinematicTrack(grid=TimeGrid(sample_rate=100.0, n_samples=n),
+                               position=np.asfortranarray(position),
+                               velocity=np.asfortranarray(speed[:, None] * heading),
+                               acceleration=np.zeros((n, 3), order="F"),
+                               analytic=analytic)
+        optics = project_optics(track, ScenePoint(position=np.zeros(3)))
+        inertial = project_inertial(track)
+        still = inertial.speed <= EPS_SPEED
+        assert 0 < np.count_nonzero(still) < n
+        assert np.array_equal(np.isnan(optics.alpha), still)
 
 
 def same_bits(a, b) -> bool:
